@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from . import classical, entanglement, fullmodel, rwa
-from .model import (DickeBasis, ModelParams, ProductBasis, PureState,
-                    jx_matrix, jy_matrix, jz_matrix)
+from .model import (ModelParams, ProductBasis, PureState, jx_matrix, jy_matrix,
+                    jz_matrix)
 
 
 # ----------------------------------------------------------------- oracles
@@ -36,13 +36,8 @@ def pair_reduction_bruteforce(state: PureState, n_atoms: int,
                               pair: tuple[int, int] = (0, 1)) -> np.ndarray:
     """4x4 two-qubit state of `pair`, from the explicit field (x) 2^N_a
     tensor product."""
-    dicke = DickeBasis(n_atoms)
-    by_photon: dict[int, np.ndarray] = {}
-    for (k, m), a in zip(state.labels, state.amplitudes):
-        col = by_photon.setdefault(int(round(k)), np.zeros(n_atoms + 1))
-        col[dicke.index_of(m)] += a
-    psi = np.stack([symmetric_state_tensor(col, n_atoms)
-                    for col in by_photon.values()])      # (n_k, 2^N)
+    psi = np.stack([symmetric_state_tensor(row, n_atoms)
+                    for row in state.grid])              # (n_k, 2^N)
     i, j = pair
     order = [i, j] + [q for q in range(n_atoms) if q not in (i, j)]
     psi = psi.reshape((-1,) + (2,) * n_atoms)
@@ -54,8 +49,7 @@ def pair_reduction_bruteforce(state: PureState, n_atoms: int,
 def random_symmetric_state(rng: np.random.Generator, n_atoms: int) -> PureState:
     amp = rng.standard_normal(n_atoms + 1)
     amp /= np.linalg.norm(amp)
-    labels = tuple((0, float(m)) for m in DickeBasis(n_atoms).m_values)
-    return PureState(amplitudes=amp, labels=labels, n_atoms=n_atoms)
+    return PureState(amplitudes=amp, n_atoms=n_atoms)
 
 
 def random_product_state(rng: np.random.Generator, n_atoms: int,
@@ -63,8 +57,7 @@ def random_product_state(rng: np.random.Generator, n_atoms: int,
     basis = ProductBasis(n_atoms=n_atoms, n_cut=n_cut)
     amp = rng.standard_normal(basis.dimension)
     amp /= np.linalg.norm(amp)
-    return PureState(amplitudes=amp, labels=tuple(basis.labels()),
-                     n_atoms=n_atoms)
+    return PureState(amplitudes=amp, n_atoms=n_atoms)
 
 
 def sturm_lowest_eigenvalue(diag: np.ndarray, offdiag: np.ndarray,

@@ -23,6 +23,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .model import ModelParams, jp_matrix, jy_matrix, jz_matrix
+from .rwa import critical_coupling_1
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,9 @@ def hp_first_energy(params: ModelParams) -> float:
                   - math.hypot(2.0 * params.lam, gap))
 
 
-def critical_coupling_cl(params: ModelParams) -> float:
-    """Classical-limit first critical coupling; identical in form to the exact
-    finite-size RWA result sqrt([omega + (1/N_a - 1) eta] omega_f)."""
-    radicand = (params.omega + (1.0 / params.n_atoms - 1.0) * params.eta) * params.omega_f
-    if radicand < 0:
-        raise ValueError("negative radicand in lam_c1^(CL)")
-    return math.sqrt(radicand)
+# The classical-limit first critical coupling, where hp_first_energy crosses
+# zero, is identical in form to the exact finite-size RWA result.
+critical_coupling_cl = critical_coupling_1
 
 
 def critical_coupling_clcr(params: ModelParams) -> float:

@@ -95,10 +95,12 @@ def cmd_solve(args) -> int:
                   "tail_mass": result.tail_mass}
     report["cw"] = cw_of_ground(state)
     report["entropy_bits"] = entropy_of_ground(state)
-    order = np.argsort(-np.abs(state.amplitudes))[:10]
+    # rank the amplitudes the state holds, not the zeros padding an RWA strip
+    ks, ps = np.nonzero(state.grid)
+    held = state.grid[ks, ps]
     report["leading_amplitudes"] = [
-        {"photons": int(round(state.labels[i][0])), "m": state.labels[i][1],
-         "amplitude": float(state.amplitudes[i])} for i in order]
+        {"photons": state.k0 + int(ks[i]), "m": (2 * int(ps[i]) - params.n_atoms) / 2.0,
+         "amplitude": float(held[i])} for i in np.argsort(-np.abs(held))[:10]]
 
     if args.json:
         print(json.dumps(report, indent=2))
@@ -187,8 +189,15 @@ def cmd_sweep(args) -> int:
         raise UsageError("provide --delta or --omega")
     delta = args.delta if args.delta is not None else args.omega - args.wf
     workers = args.workers
-    if workers is None and os.environ.get("DICKE_LMG_THREADS"):
-        workers = int(os.environ["DICKE_LMG_THREADS"])
+    threads = os.environ.get("DICKE_LMG_THREADS")
+    if workers is None and threads:
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise UsageError("DICKE_LMG_THREADS must be an integer >= 1, "
+                             f"got {threads!r}") from None
+    if workers is not None and workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     spec = sweep_mod.SweepSpec(
         solver=args.solver, omega_f=args.wf, delta=delta, n_atoms=args.na,
         lam_axis=(args.lam_min, args.lam_max, args.lam_points),

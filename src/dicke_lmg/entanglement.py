@@ -18,23 +18,18 @@ import math
 
 import numpy as np
 
-from .model import DickeBasis, PureState
+from .model import PureState
 
 _EIG_CLIP = 1e-12
 
 
 def trace_out_field(state: PureState) -> np.ndarray:
     """Reduced qubit-ensemble density matrix, (rho_a)_{m,m'} = sum_k c_{k,m} c_{k,m'}."""
-    basis = DickeBasis(state.n_atoms)
-    dim = basis.dimension
-    # amplitudes grouped by photon number k
-    columns: dict[int, np.ndarray] = {}
-    for (k, m), a in zip(state.labels, state.amplitudes):
-        col = columns.setdefault(int(round(k)), np.zeros(dim))
-        col[basis.index_of(m)] += a
+    dim = state.n_atoms + 1
     rho = np.zeros((dim, dim))
-    for col in columns.values():
-        rho += np.outer(col, col)
+    # photon layers added in ascending order, so rho is reproducible bit for bit
+    for row in state.grid:
+        rho += np.outer(row, row)
     return rho
 
 
@@ -108,11 +103,11 @@ def wootters_concurrence(rho2: np.ndarray) -> float:
     return max(0.0, float(lam[0] - lam[1:].sum()))
 
 
-def cw_of_ground(state: PureState, n_atoms: int | None = None) -> float:
+def cw_of_ground(state: PureState) -> float:
     """Maximum shared bipartite concurrence of a ground state: trace out the
     field, reduce to one qubit pair, take the Wootters concurrence."""
-    na = n_atoms if n_atoms is not None else state.n_atoms
-    return wootters_concurrence(reduce_to_two_qubits(trace_out_field(state), na))
+    return wootters_concurrence(reduce_to_two_qubits(trace_out_field(state),
+                                                     state.n_atoms))
 
 
 def entropy_of_ground(state: PureState) -> float:

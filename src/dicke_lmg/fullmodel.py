@@ -27,8 +27,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConvergenceError
-from .model import (ModelParams, ProductBasis, PureState, fix_sign, jm_matrix,
-                    jp_matrix, jz_matrix)
+from .model import (ModelParams, ProductBasis, PureState, fix_sign, jp_matrix,
+                    jz_matrix)
 
 # above this dimension the lowest eigenpair comes from Lanczos (ARPACK)
 _DENSE_LIMIT = 1500
@@ -58,7 +58,10 @@ class ConvergedGround:
     parity_gap: float | None = None
 
 
-def _operators(params: ModelParams, n_cut: int, sparse: bool):
+def _operators(params: ModelParams, n_cut: int, sparse: bool,
+               counter_rotating: bool = True):
+    """H on the product basis; without counter-rotating terms the coupling is
+    its rotating-wave part lam N_a^{-1/2} (a J_+ + a^dag J_-)."""
     na = params.n_atoms
     kron = scipy.sparse.kron if sparse else np.kron
     eye = (lambda d: scipy.sparse.identity(d)) if sparse else np.eye
@@ -66,48 +69,42 @@ def _operators(params: ModelParams, n_cut: int, sparse: bool):
     ad = np.diag(np.sqrt(np.arange(1, n_cut + 1)), -1)
     jz = jz_matrix(na)
     spin = params.omega * jz + params.eta * jz @ jz / na
-    jpm = jp_matrix(na) + jm_matrix(na)
+    jp = jp_matrix(na)
+    jpm = jp + jp.T
     if sparse:
         photon, ad, spin, jpm = map(scipy.sparse.csr_matrix, (photon, ad, spin, jpm))
+    coupling = (kron(ad + ad.T, jpm) if counter_rotating
+                else kron(ad.T, jp) + kron(ad, jp.T))
     h = (params.omega_f * kron(photon, eye(na + 1))
          + kron(eye(n_cut + 1), spin)
-         + params.lam / math.sqrt(na) * kron(ad + ad.T, jpm))
+         + params.lam / math.sqrt(na) * coupling)
     return h
+
+
+def _dense(params: ModelParams, n_cut: int, counter_rotating: bool) -> FullHamiltonian:
+    if n_cut < 1:
+        raise ValueError("n_cut must be >= 1")
+    basis = ProductBasis(n_atoms=params.n_atoms, n_cut=n_cut)
+    matrix = _operators(params, n_cut, sparse=False, counter_rotating=counter_rotating)
+    return FullHamiltonian(params=params, basis=basis, matrix=matrix)
 
 
 def build_full(params: ModelParams, n_cut: int) -> FullHamiltonian:
     """Dense symmetric matrix of the full Hamiltonian at photon cutoff n_cut."""
-    if n_cut < 1:
-        raise ValueError("n_cut must be >= 1")
-    basis = ProductBasis(n_atoms=params.n_atoms, n_cut=n_cut)
-    return FullHamiltonian(params=params, basis=basis,
-                           matrix=_operators(params, n_cut, sparse=False))
+    return _dense(params, n_cut, counter_rotating=True)
 
 
 def build_rwa_product(params: ModelParams, n_cut: int) -> FullHamiltonian:
     """RWA Hamiltonian on the same product basis, coupling
     lam N_a^{-1/2} (a J_+ + a^dag J_-); conserves total excitation number."""
-    if n_cut < 1:
-        raise ValueError("n_cut must be >= 1")
-    na = params.n_atoms
-    basis = ProductBasis(n_atoms=na, n_cut=n_cut)
-    photon = np.diag(np.arange(n_cut + 1, dtype=float))
-    ad = np.diag(np.sqrt(np.arange(1, n_cut + 1)), -1)
-    jz = jz_matrix(na)
-    spin = params.omega * jz + params.eta * jz @ jz / na
-    h = (params.omega_f * np.kron(photon, np.eye(na + 1))
-         + np.kron(np.eye(n_cut + 1), spin)
-         + params.lam / math.sqrt(na) * (np.kron(ad.T, jp_matrix(na))
-                                         + np.kron(ad, jm_matrix(na))))
-    return FullHamiltonian(params=params, basis=basis, matrix=h)
+    return _dense(params, n_cut, counter_rotating=False)
 
 
 def parity_diagonal(basis: ProductBasis) -> np.ndarray:
     """Diagonal of the parity operator exp[i pi (a^dag a + J_z + N_a/2)]."""
-    signs = np.empty(basis.dimension)
-    for i, (k, m) in enumerate(basis.labels()):
-        signs[i] = -1.0 if (k + int(round(m + basis.n_atoms / 2.0))) % 2 else 1.0
-    return signs
+    k = np.arange(basis.n_cut + 1)[:, None]
+    p = np.arange(basis.n_atoms + 1)[None, :]
+    return np.where((k + p) % 2, -1.0, 1.0).ravel()
 
 
 def parity_matrix(basis: ProductBasis) -> np.ndarray:
@@ -199,10 +196,8 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
         if (prev_energy is not None
                 and abs(energy - prev_energy) < tol * max(1.0, abs(energy))
                 and tail < tail_threshold):
-            basis = ProductBasis(n_atoms=na, n_cut=n_cut)
             vec = fix_sign(vec)
-            state = PureState(amplitudes=vec / np.linalg.norm(vec),
-                              labels=tuple(basis.labels()), n_atoms=na)
+            state = PureState(amplitudes=vec / np.linalg.norm(vec), n_atoms=na)
             return ConvergedGround(energy=energy, state=state, n_cut_used=n_cut,
                                    tail_mass=tail, parity=parity, parity_gap=gap)
         prev_energy = energy

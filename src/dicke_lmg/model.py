@@ -4,7 +4,8 @@ The qubit ensemble lives in the maximal-j Dicke manifold, j = N_a/2, with
 states labeled by m in ascending order. Half-integer m (odd N_a) is stored
 internally as the integer 2m to keep label comparisons exact. The field-qubit
 product basis is ordered photon-major, m-ascending, so fixed-excitation
-subspaces are easy to extract.
+subspaces are easy to extract; a state is a window of photon layers of that
+basis, an amplitude grid of shape (layers, N_a + 1).
 
 All values are in absolute energy units; omega_f = 1 is the recommended
 scale. All Hamiltonians in scope are real symmetric in these bases, so state
@@ -53,6 +54,9 @@ class ModelParams:
     n_atoms: int
 
     def __post_init__(self):
+        for name in ("omega_f", "delta", "eta", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.omega_f > 0:
             raise ValueError("omega_f must be > 0")
         if self.lam < 0:
@@ -117,12 +121,9 @@ def jpm_element(n_atoms: int, m: float, direction: str) -> float:
     leaves the ladder.
     """
     tm = _twice_m(n_atoms, m)
-    if direction in ("raise", "+", "up"):
-        sign = +1
-    elif direction in ("lower", "-", "down"):
-        sign = -1
-    else:
+    if direction not in ("raise", "lower"):
         raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    sign = +1 if direction == "raise" else -1
     if abs(tm + 2 * sign) > n_atoms:
         return 0.0
     j = n_atoms / 2.0
@@ -144,11 +145,9 @@ def jz_matrix(n_atoms: int) -> np.ndarray:
 
 
 def jp_matrix(n_atoms: int) -> np.ndarray:
-    basis = DickeBasis(n_atoms)
-    mat = np.zeros((basis.dimension, basis.dimension))
-    for i, m in enumerate(basis.m_values[:-1]):
-        mat[i + 1, i] = jpm_element(n_atoms, m, "raise")
-    return mat
+    m = DickeBasis(n_atoms).m_values[:-1]
+    j = n_atoms / 2.0
+    return np.diag(np.sqrt(j * (j + 1.0) - m * (m + 1.0)), -1)
 
 
 def jm_matrix(n_atoms: int) -> np.ndarray:
@@ -199,52 +198,50 @@ class ProductBasis:
         return [self.label(i) for i in range(self.dimension)]
 
 
-def _label_key(n_atoms: int, label: tuple[float, float]) -> tuple[int, int]:
-    k, m = label
-    return int(round(k)), _twice_m(n_atoms, m)
-
-
 @dataclass(frozen=True)
 class PureState:
-    """Normalized real-amplitude state over labeled |k>_f |m> basis vectors.
+    """Normalized real-amplitude state on a window of photon layers.
 
-    ``labels[i]`` is the (photon number, Dicke m) pair carrying amplitude
-    ``amplitudes[i]``. Works both for full product-basis states and for the
-    short vectors living in a single RWA excitation subspace.
+    ``amplitudes`` is flat, photon-major and m-ascending, and its first layer
+    holds k0 photons: ``grid[k - k0, p]`` is the amplitude of |k>_f |p - N_a/2>.
+    A full product-basis state has k0 = 0; an RWA excitation subspace n is
+    the layers k = n~..n with one nonzero amplitude per layer.
     """
 
     amplitudes: np.ndarray
-    labels: tuple[tuple[float, float], ...]
     n_atoms: int
+    k0: int = 0
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=float)
         object.__setattr__(self, "amplitudes", amp)
-        if amp.ndim != 1 or len(self.labels) != amp.size:
-            raise ValueError("labels and amplitudes must have equal length")
+        if amp.ndim != 1 or amp.size == 0 or amp.size % (self.n_atoms + 1):
+            raise ValueError("amplitudes must fill whole layers of N_a + 1")
+        if self.k0 < 0:
+            raise ValueError("k0 must be >= 0")
         if abs(amp @ amp - 1.0) > 1e-12:
             raise ValueError("state is not normalized to 1e-12")
 
+    @property
+    def grid(self) -> np.ndarray:
+        """Amplitudes as (photon layer) x (Dicke index p = m + N_a/2)."""
+        return self.amplitudes.reshape(-1, self.n_atoms + 1)
+
     def overlap(self, other: "PureState") -> float:
-        """<self|other>, matching components by (k, m) label."""
+        """<self|other>, summed over the photon layers both states hold."""
         if self.n_atoms != other.n_atoms:
             raise ValueError("states live on different ensembles")
-        table = {_label_key(self.n_atoms, lab): a
-                 for lab, a in zip(self.labels, self.amplitudes)}
-        acc = 0.0
-        for lab, a in zip(other.labels, other.amplitudes):
-            acc += table.get(_label_key(other.n_atoms, lab), 0.0) * a
-        return acc
+        lo = max(self.k0, other.k0)
+        hi = min(self.k0 + len(self.grid), other.k0 + len(other.grid))
+        if lo >= hi:
+            return 0.0
+        a = self.grid[lo - self.k0:hi - self.k0].ravel()
+        b = other.grid[lo - other.k0:hi - other.k0].ravel()
+        # a running sum in basis order: the value does not depend on BLAS
+        return float(np.cumsum(a * b)[-1])
 
     def fidelity(self, other: "PureState") -> float:
         return self.overlap(other) ** 2
-
-    def to_dense(self, basis: ProductBasis) -> np.ndarray:
-        """Embed into the full product basis (zero-padding elsewhere)."""
-        vec = np.zeros(basis.dimension)
-        for (k, m), a in zip(self.labels, self.amplitudes):
-            vec[basis.index(int(round(k)), m)] = a
-        return vec
 
 
 def fix_sign(vec: np.ndarray, tol: float = 0.0) -> np.ndarray:

@@ -30,7 +30,6 @@ class TridiagMatrix:
     diag: np.ndarray
     offdiag: np.ndarray
     energy_offset: float
-    labels: tuple[tuple[int, float], ...]
 
     @property
     def size(self) -> int:
@@ -75,10 +74,8 @@ def build_subspace(params: ModelParams, n: int) -> TridiagMatrix:
     diag = ms * (params.delta + params.eta * ms / na)
     js = ks[1:].astype(float)
     offdiag = params.lam / math.sqrt(na) * np.sqrt(js * (na + js - n) * (n - js + 1))
-    labels = tuple((int(k), float(m)) for k, m in zip(ks, ms))
     return TridiagMatrix(diag=diag, offdiag=offdiag,
-                         energy_offset=params.omega_f * (n - na / 2.0),
-                         labels=labels)
+                         energy_offset=params.omega_f * (n - na / 2.0))
 
 
 def tridiag_ground(mat: TridiagMatrix) -> tuple[float, np.ndarray]:
@@ -94,10 +91,13 @@ def tridiag_ground(mat: TridiagMatrix) -> tuple[float, np.ndarray]:
     return mat.energy_offset + float(vals[0]), vec
 
 
-def _subspace_ground(params: ModelParams, n: int) -> tuple[float, TridiagMatrix, np.ndarray]:
-    mat = build_subspace(params, n)
-    energy, vec = tridiag_ground(mat)
-    return energy, mat, vec
+def _subspace_state(n_atoms: int, n: int, vec: np.ndarray) -> PureState:
+    """Place an eigenvector of H^(n) on the photon layers k = n~..n; layer k
+    holds its amplitude at Dicke index p = n - k."""
+    k0 = max(0, n - n_atoms)
+    grid = np.zeros((vec.size, n_atoms + 1))
+    grid[np.arange(vec.size), n - k0 - np.arange(vec.size)] = vec
+    return PureState(amplitudes=grid.ravel(), n_atoms=n_atoms, k0=k0)
 
 
 def _tail_lower_bound(params: ModelParams, n: int) -> float:
@@ -126,13 +126,13 @@ def ground_state(params: ModelParams, search: SearchPolicy | None = None) -> Gro
     n_monotone = params.lam ** 2 * (params.n_atoms + 1) / params.omega_f ** 2
 
     best_energy = math.inf
-    best: tuple[int, TridiagMatrix, np.ndarray] | None = None
+    best: tuple[int, np.ndarray] | None = None
     at_transition = False
     for n in range(n_max + 1):
-        energy, mat, vec = _subspace_ground(params, n)
+        energy, vec = tridiag_ground(build_subspace(params, n))
         tol = search.tie_tol * max(1.0, abs(best_energy)) if best else 0.0
         if energy < best_energy - tol:
-            best_energy, best, at_transition = energy, (n, mat, vec), False
+            best_energy, best, at_transition = energy, (n, vec), False
         elif energy < best_energy + tol and best is not None:
             at_transition = True   # degenerate with a smaller-n subspace
         if n >= n_monotone and _tail_lower_bound(params, n + 1) > best_energy:
@@ -142,15 +142,15 @@ def ground_state(params: ModelParams, search: SearchPolicy | None = None) -> Gro
             f"subspace scan hit n_max = {n_max} without satisfying the "
             f"stopping rule (lam = {params.lam}, omega_f = {params.omega_f})")
 
-    n, mat, vec = best
-    state = PureState(amplitudes=vec, labels=mat.labels, n_atoms=params.n_atoms)
+    n, vec = best
+    state = _subspace_state(params.n_atoms, n, vec)
     return GroundStateResult(energy=best_energy, state=state, subspace_index=n,
                              at_transition=at_transition)
 
 
 def subspace_energy(params: ModelParams, n: int) -> float:
     """Ground energy of subspace n alone (offset included)."""
-    return _subspace_ground(params, n)[0]
+    return tridiag_ground(build_subspace(params, n))[0]
 
 
 def critical_coupling_1(params: ModelParams) -> float:
@@ -185,10 +185,7 @@ def first_nonvacuum_state(params: ModelParams) -> PureState:
     c_0 |0>|1 - N_a/2> + c_1 |1>|-N_a/2> with c_0 = h/sqrt(h^2+1)."""
     h = amplitude_h(params)
     norm = math.sqrt(h * h + 1.0)
-    na = params.n_atoms
-    labels = ((0, 1.0 - na / 2.0), (1, -na / 2.0))
-    return PureState(amplitudes=np.array([h / norm, 1.0 / norm]), labels=labels,
-                     n_atoms=na)
+    return _subspace_state(params.n_atoms, 1, np.array([h / norm, 1.0 / norm]))
 
 
 def transition_ladder(params: ModelParams, lam_range: tuple[float, float],

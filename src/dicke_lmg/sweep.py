@@ -47,6 +47,8 @@ class SweepSpec:
                 raise ValueError(f"{name} axis min must be < max")
         if self.lam_axis[0] < 0:
             raise ValueError("lam axis min must be >= 0")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1 (None: one per CPU)")
 
     @property
     def lam_values(self) -> np.ndarray:

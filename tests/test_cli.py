@@ -178,6 +178,24 @@ class TestSweepCommand:
                      "--eta-min", "0", "--eta-max", "0.1",
                      "--out", out]) == 0
 
+    _SMALL = ["sweep", "--na", "2", "--delta", "0", "--lambda-points", "2",
+              "--eta-points", "2"]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "w.csv"
+        assert main(self._SMALL + ["--workers", workers, "--out", str(out)]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_threads_env_var_is_usage_error(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setenv("DICKE_LMG_THREADS", "abc")
+        out = tmp_path / "t.csv"
+        assert main(self._SMALL + ["--out", str(out)]) == 2
+        assert "DICKE_LMG_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):

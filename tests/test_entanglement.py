@@ -12,9 +12,18 @@ from dicke_lmg.model import DickeBasis, ModelParams, PureState
 from dicke_lmg.rwa import first_nonvacuum_state
 
 
+def _state(n_atoms: int, terms: dict) -> PureState:
+    """State with amplitude terms[(k, m)] on |k>_f |m>, on layers min k..max k."""
+    k0 = min(k for k, _ in terms)
+    grid = np.zeros((max(k for k, _ in terms) - k0 + 1, n_atoms + 1))
+    for (k, m), a in terms.items():
+        grid[k - k0, DickeBasis(n_atoms).index_of(m)] = a
+    return PureState(grid.ravel(), n_atoms, k0)
+
+
 def _w_state(n_atoms: int) -> PureState:
     """Vacuum field times the single-excitation symmetric (W) state."""
-    return PureState(np.array([1.0]), ((0, 1.0 - n_atoms / 2.0),), n_atoms)
+    return _state(n_atoms, {(0, 1.0 - n_atoms / 2.0): 1.0})
 
 
 def _density_checks(rho: np.ndarray):
@@ -32,8 +41,7 @@ class TestTraceOutField:
 
     def test_entangled_state_mixes(self):
         # (|0>|m=-1/2> + |1>|m=-3/2>)/sqrt(2): photon number marks the branch
-        state = PureState(np.array([1.0, 1.0]) / math.sqrt(2),
-                          ((0, -0.5), (1, -1.5)), n_atoms=3)
+        state = _state(3, {(0, -0.5): 1 / math.sqrt(2), (1, -1.5): 1 / math.sqrt(2)})
         rho = trace_out_field(state)
         _density_checks(rho)
         basis = DickeBasis(3)
@@ -43,7 +51,7 @@ class TestTraceOutField:
         assert np.abs(rho - expected).max() < 1e-14
 
     def test_coherences_kept_within_a_photon_sector(self):
-        state = PureState(np.array([0.6, 0.8]), ((2, -0.5), (2, 0.5)), n_atoms=3)
+        state = _state(3, {(2, -0.5): 0.6, (2, 0.5): 0.8})
         rho = trace_out_field(state)
         basis = DickeBasis(3)
         assert rho[basis.index_of(-0.5), basis.index_of(0.5)] == pytest.approx(

@@ -20,6 +20,11 @@ def test_params_consistency():
     dict(omega_f=0.0, delta=0, eta=0, lam=0, n_atoms=2),
     dict(omega_f=1.0, delta=0, eta=0, lam=-0.1, n_atoms=2),
     dict(omega_f=1.0, delta=0, eta=0, lam=0, n_atoms=0),
+    # non-finite values, one field at a time
+    dict(omega_f=math.inf, delta=0, eta=0, lam=0, n_atoms=2),
+    dict(omega_f=1.0, delta=math.nan, eta=0, lam=0, n_atoms=2),
+    dict(omega_f=1.0, delta=0, eta=-math.inf, lam=0, n_atoms=2),
+    dict(omega_f=1.0, delta=0, eta=0, lam=math.nan, n_atoms=2),
 ])
 def test_params_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
@@ -50,6 +55,8 @@ def test_jpm_element():
     assert jpm_element(5, 2.5, "raise") == 0.0
     # frozen from sqrt(j(j+1) - m(m-1)), j = 2, m = 0
     assert jpm_element(4, 0, "lower") == pytest.approx(2.449489742783178, abs=1e-12)
+    with pytest.raises(ValueError):
+        jpm_element(2, -1, "+")
 
 
 def test_total_excitation():
@@ -88,21 +95,38 @@ def test_product_basis_ordering_photon_major():
                               (1, -1.0), (1, 0.0), (1, 1.0)]
 
 
+def _state(n_atoms: int, terms: dict) -> PureState:
+    """State with amplitude terms[(k, m)] on |k>_f |m>, on layers min k..max k."""
+    k0 = min(k for k, _ in terms)
+    grid = np.zeros((max(k for k, _ in terms) - k0 + 1, n_atoms + 1))
+    for (k, m), a in terms.items():
+        grid[k - k0, DickeBasis(n_atoms).index_of(m)] = a
+    return PureState(grid.ravel(), n_atoms, k0)
+
+
 def test_pure_state_normalization_enforced():
-    labels = ((0, -1.0), (1, 0.0))
-    PureState(amplitudes=np.array([0.6, 0.8]), labels=labels, n_atoms=2)
+    _state(2, {(0, -1.0): 0.6, (1, 0.0): 0.8})
     with pytest.raises(ValueError):
-        PureState(amplitudes=np.array([0.6, 0.6]), labels=labels, n_atoms=2)
+        _state(2, {(0, -1.0): 0.6, (1, 0.0): 0.6})
+    with pytest.raises(ValueError):
+        PureState(np.array([0.6, 0.8]), n_atoms=2)    # not a whole layer
 
 
 def test_pure_state_overlap_matches_by_label():
-    a = PureState(np.array([1.0]), ((0, -1.0),), n_atoms=2)
-    b = PureState(np.array([0.6, 0.8]), ((1, 0.0), (0, -1.0)), n_atoms=2)
+    a = _state(2, {(0, -1.0): 1.0})
+    b = _state(2, {(1, 0.0): 0.6, (0, -1.0): 0.8})
     assert a.overlap(b) == pytest.approx(0.8, abs=1e-15)
     basis = ProductBasis(n_atoms=2, n_cut=1)
-    dense = b.to_dense(basis)
-    assert dense[basis.index(0, -1.0)] == 0.8
-    assert dense[basis.index(1, 0.0)] == 0.6
+    assert b.amplitudes[basis.index(0, -1.0)] == 0.8
+    assert b.amplitudes[basis.index(1, 0.0)] == 0.6
+
+
+def test_pure_state_overlap_on_shifted_layers():
+    a = _state(2, {(1, 0.0): 0.6, (2, 1.0): 0.8})
+    b = _state(2, {(0, -1.0): 0.6, (1, 0.0): 0.8})
+    assert a.k0 == 1 and b.k0 == 0
+    assert a.overlap(b) == b.overlap(a) == pytest.approx(0.48, abs=1e-15)
+    assert a.overlap(_state(2, {(3, 1.0): 1.0})) == 0.0
 
 
 def test_fix_sign():

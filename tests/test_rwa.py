@@ -6,16 +6,30 @@ import pytest
 from dicke_lmg.checks import sturm_lowest_eigenvalue
 from dicke_lmg.errors import UnboundedSearchError
 from dicke_lmg.model import ModelParams
-from dicke_lmg.rwa import (SearchPolicy, amplitude_h, build_subspace,
-                           critical_coupling_1, first_nonvacuum_state,
-                           ground_state, subspace_energy, transition_ladder,
-                           tridiag_ground)
+from dicke_lmg.rwa import (SearchPolicy, _subspace_state, amplitude_h,
+                           build_subspace, critical_coupling_1,
+                           first_nonvacuum_state, ground_state, subspace_energy,
+                           transition_ladder, tridiag_ground)
 
 
 def _params(**kw):
     base = dict(omega_f=1.0, delta=0.0, eta=0.0, lam=0.1, n_atoms=5)
     base.update(kw)
     return ModelParams(**base)
+
+
+def _held(state):
+    """(k, m) labels of the nonzero amplitudes, photon-major, m ascending."""
+    ks, ps = np.nonzero(state.grid)
+    return tuple((state.k0 + int(k), (2 * int(p) - state.n_atoms) / 2.0)
+                 for k, p in zip(ks, ps))
+
+
+def _block_labels(params, n):
+    """(k, m) rows of subspace n, in the order of its eigenvector."""
+    _, vec = tridiag_ground(build_subspace(params, n))
+    state = _subspace_state(params.n_atoms, n, vec)
+    return _held(state)
 
 
 class TestBuildSubspace:
@@ -26,12 +40,12 @@ class TestBuildSubspace:
         assert mat.diag[0] == pytest.approx(-2.5 * (0.3 + 0.4 * (-2.5) / 5),
                                             abs=1e-15)
         assert mat.energy_offset == pytest.approx(-2.5, abs=0)
-        assert mat.labels == ((0, -2.5),)
+        assert _block_labels(_params(delta=0.3, eta=0.4), 0) == ((0, -2.5),)
 
     def test_one_excitation_block(self):
         mat = build_subspace(_params(lam=0.7), 1)
         assert mat.size == 2
-        assert mat.labels == ((0, -1.5), (1, -2.5))
+        assert _block_labels(_params(lam=0.7), 1) == ((0, -1.5), (1, -2.5))
         # off-diagonal lam N^{-1/2} sqrt(1 * (N + 1 - 1) * 1) = lam
         assert mat.offdiag[0] == pytest.approx(0.7, abs=1e-15)
         assert mat.energy_offset == pytest.approx(-1.5, abs=0)
@@ -39,7 +53,8 @@ class TestBuildSubspace:
     def test_block_size_caps_at_na_plus_one(self):
         mat = build_subspace(_params(n_atoms=3), 10)
         assert mat.size == 4
-        assert mat.labels[0] == (7, 1.5) and mat.labels[-1] == (10, -1.5)
+        labels = _block_labels(_params(n_atoms=3), 10)
+        assert labels[0] == (7, 1.5) and labels[-1] == (10, -1.5)
 
     def test_offdiagonal_strictly_positive(self):
         for n in range(1, 12):
@@ -170,13 +185,14 @@ class TestAmplitudeH:
             state = first_nonvacuum_state(p)
             _, vec = tridiag_ground(build_subspace(p, 1))
             # same basis ordering (photon number ascending); compare up to sign
-            assert abs(abs(state.amplitudes @ vec) - 1.0) < 1e-12
+            held = state.amplitudes[np.flatnonzero(state.amplitudes)]
+            assert abs(abs(held @ vec) - 1.0) < 1e-12
 
     def test_state_labels(self):
         state = first_nonvacuum_state(_params(lam=1.0))
-        assert state.labels == ((0, -1.5), (1, -2.5))
-        assert state.amplitudes[0] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
-        assert state.amplitudes[1] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert _held(state) == ((0, -1.5), (1, -2.5))
+        assert state.grid[0, 1] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
+        assert state.grid[1, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 class TestTransitionLadder:

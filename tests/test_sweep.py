@@ -28,6 +28,8 @@ class TestSweepSpec:
             _spec(lam_axis=(-0.1, 1.0, 4))
         with pytest.raises(ValueError):
             _spec(eta_axis=(0.0, 1.0, 1))
+        with pytest.raises(ValueError):
+            _spec(workers=0)
 
 
 class TestRunSweep:
