@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-points", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--parity-blocks", action="store_true", default=True)
+    p.add_argument("--parity-blocks", action=argparse.BooleanOptionalAction,
+                   default=True)
     p.add_argument("--out", required=True, help="output data file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)

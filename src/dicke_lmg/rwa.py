@@ -44,10 +44,22 @@ class TridiagMatrix:
 
 @dataclass(frozen=True)
 class SearchPolicy:
-    """Controls the subspace scan in :func:`ground_state`."""
+    """Controls the subspace scan in :func:`ground_state`.
 
-    n_max: int | None = None       # default 10 N_a + 100
-    tie_tol: float = 1e-10         # degeneracy window for the at-transition flag
+    n_max   : highest subspace the scan may solve; None derives it from the
+              tail bound (:meth:`_TailBound.default_n_max`), so the scan
+              always stops
+    tie_tol : relative degeneracy window for the at-transition flag, in [0, 1e-3]
+    """
+
+    n_max: int | None = None
+    tie_tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.n_max is not None and self.n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        if not 0.0 <= self.tie_tol <= 1e-3:
+            raise ValueError("tie_tol must lie in [0, 1e-3]")
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,37 @@ class GroundStateResult:
     state: PureState
     subspace_index: int
     at_transition: bool = False
+
+
+# Batched energies within _GUARD tie windows plus _ROUNDING (relative) of the
+# lowest are re-solved exactly; _STACK_FLOATS caps one padded eigvalsh stack.
+_GUARD = 100.0
+_ROUNDING = 1e-12
+_STACK_FLOATS = 1 << 14
+
+
+def _energy_offset(params: ModelParams, n):
+    """omega_f (n - N_a/2), the constant shift of H^(n); n may be an array."""
+    return params.omega_f * (n - params.n_atoms / 2.0)
+
+
+def _jacobi_bands(params: ModelParams, ns, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi bands of the subspaces ``ns`` at every coupling in ``lams``.
+
+    Row i of block n is photon number k = n~ + i, padded to N_a + 1 rows:
+    the diagonal has shape (len(ns), N_a + 1) and the off-diagonal
+    (len(lams), len(ns), N_a). Couplings past a block's last row are zero.
+    """
+    na = params.n_atoms
+    ns = np.asarray(ns)[:, None]
+    ks = np.maximum(0, ns - na) + np.arange(na + 1)
+    ms = ns - ks - na / 2.0
+    diag = ms * (params.delta + params.eta * ms / na)
+    js = ks[:, 1:].astype(float)
+    # the radicand is zero at a block's last row and negative past it
+    root = np.sqrt(np.maximum(js * (na + js - ns) * (ns - js + 1), 0.0))
+    offdiag = (np.asarray(lams, dtype=float) / math.sqrt(na))[:, None, None] * root
+    return diag, offdiag
 
 
 def build_subspace(params: ModelParams, n: int) -> TridiagMatrix:
@@ -67,15 +110,10 @@ def build_subspace(params: ModelParams, n: int) -> TridiagMatrix:
     """
     if n < 0:
         raise ValueError("subspace index n must be >= 0")
-    na = params.n_atoms
-    n_tilde = max(0, n - na)
-    ks = np.arange(n_tilde, n + 1)
-    ms = n - ks - na / 2.0
-    diag = ms * (params.delta + params.eta * ms / na)
-    js = ks[1:].astype(float)
-    offdiag = params.lam / math.sqrt(na) * np.sqrt(js * (na + js - n) * (n - js + 1))
-    return TridiagMatrix(diag=diag, offdiag=offdiag,
-                         energy_offset=params.omega_f * (n - na / 2.0))
+    diag, offdiag = _jacobi_bands(params, [n], [params.lam])
+    size = min(n, params.n_atoms) + 1
+    return TridiagMatrix(diag=diag[0, :size], offdiag=offdiag[0, 0, :size - 1],
+                         energy_offset=_energy_offset(params, n))
 
 
 def tridiag_ground(mat: TridiagMatrix) -> tuple[float, np.ndarray]:
@@ -100,52 +138,165 @@ def _subspace_state(n_atoms: int, n: int, vec: np.ndarray) -> PureState:
     return PureState(amplitudes=grid.ravel(), n_atoms=n_atoms, k0=k0)
 
 
-def _tail_lower_bound(params: ModelParams, n: int) -> float:
-    """Gershgorin-style lower bound on every eigenvalue of H^(n).
+@dataclass(frozen=True)
+class _TailBound:
+    """Lower bound L(n) on the spectrum of every H^(n) of one parameter set.
 
-    |d_j| <= (N_a/2)(|delta| + |eta|/2) and each off-diagonal element is at
-    most lam sqrt(n (N_a+1)), so the bound grows like omega_f n and is
-    monotone once n >= lam^2 (N_a+1) / omega_f^2.
+    Every diagonal entry is at least d_min, the lowest m (delta + eta m / N_a)
+    over all m. Off-diagonal entry j <= n is lam N_a^{-1/2} sqrt(j (N_a+j-n)
+    (n-j+1)); its last two factors sum to N_a + 1, so by AM-GM it is at most
+    lam sqrt(n) (N_a+1) / (2 sqrt(N_a)), and Gershgorin gives
+
+        L(n) = omega_f (n - N_a/2) + d_min - lam (N_a+1) sqrt(n / N_a).
+
+    L is convex in n and nondecreasing for n >= n_mono = lam^2 (N_a+1)^2 /
+    (4 N_a omega_f^2), so for n >= n_mono, L(n) bounds every H^(n'), n' >= n.
     """
-    na = params.n_atoms
-    d_max = (na / 2.0) * (abs(params.delta) + abs(params.eta) / 2.0)
-    radius = 2.0 * params.lam * math.sqrt(max(n, 1) * (na + 1))
-    return params.omega_f * (n - na / 2.0) - d_max - radius
+
+    params: ModelParams
+    d_min: float     # lowest diagonal entry of any block
+    d_abs: float     # largest |diagonal entry| of any block
+    e_vac: float     # energy of the vacuum |0>|-N_a/2>, the only state of H^(0)
+
+    @classmethod
+    def of(cls, params: ModelParams) -> "_TailBound":
+        every_m = _jacobi_bands(params, [params.n_atoms], [])[0][0]   # m descending
+        return cls(params, float(every_m.min()), float(np.abs(every_m).max()),
+                   _energy_offset(params, 0) + float(every_m[-1]))
+
+    def lower(self, n, lams: np.ndarray) -> np.ndarray:
+        """L(n) at each coupling in ``lams``."""
+        na = self.params.n_atoms
+        return (_energy_offset(self.params, n) + self.d_min
+                - lams * (na + 1) * np.sqrt(n / na))
+
+    def guard(self, best, tie_tol: float) -> np.ndarray:
+        """Window above the lowest batched energy ``best`` that holds every
+        block the sequential tie rule could pick or flag, rounding of the
+        batched solve included."""
+        return (_GUARD * tie_tol + _ROUNDING) * (np.maximum(1.0, np.abs(best)) + self.d_abs)
+
+    def certifies(self, n: int, lams: np.ndarray, best: np.ndarray,
+                  tie_tol: float) -> np.ndarray:
+        """Whether no H^(n'), n' >= n, lies within the guard of ``best``:
+        n >= n_mono and L(n) > best + guard."""
+        p = self.params
+        n_mono = (lams * (p.n_atoms + 1) / (2.0 * p.omega_f)) ** 2 / p.n_atoms
+        return (n >= n_mono) & (self.lower(n, lams) > best + self.guard(best, tie_tol))
+
+    def default_n_max(self, lams, tie_tol: float) -> int:
+        """A subspace index by which the scan of every coupling is certified.
+
+        The vacuum energy e_vac is at least the ground energy, and
+        E + guard(E) is increasing in E for tie_tol <= 1e-3, so
+        L(n + 1) > T = e_vac + guard(e_vac) certifies any scan. L(x) = T
+        solves as sqrt(x) = (c + sqrt(c^2 + 4 omega_f (T + omega_f N_a/2 -
+        d_min))) / (2 omega_f) with c = lam (N_a+1) / sqrt(N_a), a root past
+        n_mono.
+        """
+        na, wf = self.params.n_atoms, self.params.omega_f
+        target = self.e_vac + self.guard(self.e_vac, tie_tol)
+        c = lams * (na + 1) / math.sqrt(na)
+        root = (c + np.sqrt(c * c + 4.0 * wf * (target + wf * na / 2.0 - self.d_min))) / (2.0 * wf)
+        return int(np.ceil(np.max(root * root, initial=0.0))) + 1
+
+
+def _lowest(params: ModelParams, ns: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Batched ground energies, offset included, of blocks ``ns`` at each
+    coupling in ``lams``: shape (len(lams), len(ns)).
+
+    Each block is padded to (N_a+1) x (N_a+1); its padded rows are decoupled
+    and hold a sentinel above the block's Gershgorin upper bound, so the
+    lowest eigenvalue of the padded matrix is the block's.
+    """
+    width = params.n_atoms + 1
+    rows = np.arange(width)
+    held = rows < np.minimum(ns, params.n_atoms)[:, None] + 1
+    step = max(1, _STACK_FLOATS // (len(ns) * width * width))
+    lowest = np.empty((len(lams), len(ns)))
+    for i in range(0, len(lams), step):
+        diag, offdiag = _jacobi_bands(params, ns, lams[i:i + step])
+        reach = np.zeros(offdiag.shape[:-1] + (width,))
+        reach[..., 1:] += offdiag
+        reach[..., :-1] += offdiag
+        upper = np.where(held, diag + reach, -np.inf).max(axis=-1, keepdims=True)
+        stack = np.zeros(offdiag.shape[:-1] + (width, width))
+        stack[..., rows, rows] = np.where(held, diag, upper + 1.0)
+        stack[..., rows[1:], rows[:-1]] = offdiag
+        lowest[i:i + step] = np.linalg.eigvalsh(stack)[..., 0]
+    return _energy_offset(params, ns) + lowest
+
+
+def _scan(params: ModelParams, lams, search: SearchPolicy) -> list[np.ndarray]:
+    """Candidate ground subspaces at each coupling in ``lams``.
+
+    Solves blocks n = 0..n_hi of every coupling in one batch (:func:`_lowest`),
+    n_hi starting at 2 N_a + 4 and doubling for the couplings not yet
+    certified: no block past n_hi can lie within the guard of its lowest
+    batched energy (:meth:`_TailBound.certifies`), so none can win or tie.
+    Returns, per coupling, the ascending indices whose batched energy lies
+    within the guard of the lowest.
+
+    Raises UnboundedSearchError if a coupling is not certified by n_max.
+    """
+    lams = np.asarray(lams, dtype=float)
+    tail = _TailBound.of(params)
+    n_cap = (search.n_max if search.n_max is not None
+             else tail.default_n_max(lams, search.tie_tol))
+    energies = np.full((lams.size, 0), np.inf)
+    todo = np.arange(lams.size)
+    n_hi = min(2 * params.n_atoms + 4, n_cap)
+    while True:
+        n_lo = energies.shape[1]
+        energies = np.hstack([energies, np.full((lams.size, n_hi + 1 - n_lo), np.inf)])
+        energies[todo, n_lo:] = _lowest(params, np.arange(n_lo, n_hi + 1), lams[todo])
+        certified = tail.certifies(n_hi + 1, lams[todo], energies[todo].min(axis=1),
+                                   search.tie_tol)
+        todo = todo[~certified]
+        if not todo.size:
+            break
+        if n_hi >= n_cap:
+            raise UnboundedSearchError(
+                f"subspace scan hit n_max = {n_cap} without satisfying the "
+                f"stopping rule (lam = {lams[todo[0]]}, omega_f = {params.omega_f})")
+        n_hi = min(2 * n_hi + 1, n_cap)
+    best = energies.min(axis=1)
+    window = best + tail.guard(best, search.tie_tol)
+    return [np.flatnonzero(row <= top) for row, top in zip(energies, window)]
+
+
+def _decide(params: ModelParams, candidates: np.ndarray,
+            tie_tol: float) -> tuple[int, float, np.ndarray, bool]:
+    """Re-solve the candidate subspaces exactly and apply the sequential
+    rule: ascending n, a block wins only if it lies more than the tie window
+    below the best so far, and a block inside the window flags a transition.
+    Returns (n, energy, eigenvector, at_transition)."""
+    best_energy = math.inf
+    best: tuple[int, np.ndarray] | None = None
+    at_transition = False
+    for n in candidates.tolist():
+        energy, vec = tridiag_ground(build_subspace(params, n))
+        tol = tie_tol * max(1.0, abs(best_energy)) if best else 0.0
+        if energy < best_energy - tol:
+            best_energy, best, at_transition = energy, (n, vec), False
+        elif energy < best_energy + tol and best is not None:
+            at_transition = True   # degenerate with a smaller-n subspace
+    n, vec = best
+    return n, best_energy, vec, at_transition
 
 
 def ground_state(params: ModelParams, search: SearchPolicy | None = None) -> GroundStateResult:
     """Global RWA ground state over all excitation subspaces.
 
-    Scans n = 0, 1, 2, ... and stops once the tail lower bound exceeds the
-    best energy found (valid for all larger n by monotonicity of the
-    omega_f (n - N_a/2) offset). Ties between subspaces are broken toward
-    smaller n and flagged as sitting at a transition.
+    A batched scan (:func:`_scan`) finds the subspaces that can win; only
+    those are re-solved with :func:`tridiag_ground`. Ties between subspaces
+    are broken toward smaller n and flagged as sitting at a transition.
     """
     search = search or SearchPolicy()
-    n_max = search.n_max if search.n_max is not None else 10 * params.n_atoms + 100
-    n_monotone = params.lam ** 2 * (params.n_atoms + 1) / params.omega_f ** 2
-
-    best_energy = math.inf
-    best: tuple[int, np.ndarray] | None = None
-    at_transition = False
-    for n in range(n_max + 1):
-        energy, vec = tridiag_ground(build_subspace(params, n))
-        tol = search.tie_tol * max(1.0, abs(best_energy)) if best else 0.0
-        if energy < best_energy - tol:
-            best_energy, best, at_transition = energy, (n, vec), False
-        elif energy < best_energy + tol and best is not None:
-            at_transition = True   # degenerate with a smaller-n subspace
-        if n >= n_monotone and _tail_lower_bound(params, n + 1) > best_energy:
-            break
-    else:
-        raise UnboundedSearchError(
-            f"subspace scan hit n_max = {n_max} without satisfying the "
-            f"stopping rule (lam = {params.lam}, omega_f = {params.omega_f})")
-
-    n, vec = best
-    state = _subspace_state(params.n_atoms, n, vec)
-    return GroundStateResult(energy=best_energy, state=state, subspace_index=n,
-                             at_transition=at_transition)
+    n, energy, vec, at_transition = _decide(
+        params, _scan(params, [params.lam], search)[0], search.tie_tol)
+    return GroundStateResult(energy=energy, state=_subspace_state(params.n_atoms, n, vec),
+                             subspace_index=n, at_transition=at_transition)
 
 
 def subspace_energy(params: ModelParams, n: int) -> float:
@@ -193,15 +344,20 @@ def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
                       bisect_tol: float = 1e-12) -> list[tuple[float, int, int]]:
     """Locate first-order transitions (ground-subspace changes) in a lam range.
 
-    Scans the range on a uniform grid, then bisects E_g^(n) - E_g^(n') between
-    grid points where the ground subspace index changes. Returns ascending
-    (lam*, n_before, n_after) triples; empty if no crossing lies in range.
+    Scans the range on a uniform grid in one batched scan, giving each grid
+    point the subspace index :func:`ground_state` gives it, then bisects
+    E_g^(n) - E_g^(n') between grid points where the ground subspace index
+    changes. Returns ascending (lam*, n_before, n_after) triples; empty if no
+    crossing lies in range.
     """
     lo, hi = lam_range
     if not (0 < lo < hi) or not math.isfinite(hi):
         raise ValueError("lam range must be positive, ordered, and finite")
     grid = np.linspace(lo, hi, scan_points)
-    indices = [ground_state(params.replace(lam=float(l))).subspace_index for l in grid]
+    search = SearchPolicy()
+    indices = [int(c[0]) if c.size == 1
+               else _decide(params.replace(lam=float(l)), c, search.tie_tol)[0]
+               for l, c in zip(grid, _scan(params, grid, search))]
 
     crossings = []
     for i in range(len(grid) - 1):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dicke_lmg.cli import (CSV_HEADER, main, read_csv, write_csv, write_json)
+from dicke_lmg.cli import (CSV_HEADER, build_parser, main, read_csv, write_csv,
+                           write_json)
 from dicke_lmg.sweep import GridRecord
 
 
@@ -27,6 +28,14 @@ class TestExitCodes:
                      "--omega", "2.0", "--lambda", "0.5"])
         assert code == 2
         assert "inconsistent" in capsys.readouterr().err
+
+    def test_rwa_default_scan_certifies_deep_coupling(self, capsys):
+        # the winning subspace lies far past the former default n_max = 150
+        assert main(["solve", "--na", "5", "--delta", "0", "--lambda", "3.0",
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["energy"] == pytest.approx(-11.8168223523, abs=1e-9)
+        assert report["subspace_index"] == 13
 
     def test_consistent_delta_omega_accepted(self, capsys):
         code = main(["solve", "--na", "3", "--wf", "1.0", "--delta", "0.5",
@@ -180,6 +189,17 @@ class TestSweepCommand:
 
     _SMALL = ["sweep", "--na", "2", "--delta", "0", "--lambda-points", "2",
               "--eta-points", "2"]
+
+    def test_parity_blocks_can_be_turned_off(self, tmp_path, capsys):
+        parse = build_parser().parse_args
+        assert parse(self._SMALL + ["--out", "x"]).parity_blocks is True
+        assert parse(self._SMALL + ["--no-parity-blocks", "--out", "x"]).parity_blocks is False
+        out = str(tmp_path / "np.csv")
+        assert main(self._SMALL + ["--solver", "full", "--lambda-max", "0.3",
+                                   "--no-parity-blocks", "--out", out]) == 0
+        assert len(read_csv(out)) == 4
+        meta = json.loads(open(out + ".meta.json").read())
+        assert meta["config"]["parity_blocks"] is False
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):

@@ -6,8 +6,8 @@ import pytest
 from dicke_lmg.checks import sturm_lowest_eigenvalue
 from dicke_lmg.errors import UnboundedSearchError
 from dicke_lmg.model import ModelParams
-from dicke_lmg.rwa import (SearchPolicy, _subspace_state, amplitude_h,
-                           build_subspace, critical_coupling_1,
+from dicke_lmg.rwa import (SearchPolicy, _subspace_state, _TailBound,
+                           amplitude_h, build_subspace, critical_coupling_1,
                            first_nonvacuum_state, ground_state, subspace_energy,
                            transition_ladder, tridiag_ground)
 
@@ -129,6 +129,12 @@ class TestGroundState:
         with pytest.raises(UnboundedSearchError):
             ground_state(_params(lam=3.0), SearchPolicy(n_max=3))
 
+    def test_search_policy_rejects_invalid(self):
+        for bad in (dict(n_max=-1), dict(tie_tol=-1e-12), dict(tie_tol=0.01),
+                    dict(tie_tol=math.nan)):
+            with pytest.raises(ValueError):
+                SearchPolicy(**bad)
+
 
 class TestCriticalCoupling:
     def test_resonant_eta_zero(self):
@@ -221,3 +227,144 @@ class TestTransitionLadder:
             transition_ladder(_params(), (1.0, 0.5))
         with pytest.raises(ValueError):
             transition_ladder(_params(), (0.0, 1.0))
+
+
+def _random_params(rng):
+    return ModelParams(omega_f=rng.uniform(0.5, 2.0), delta=rng.uniform(-1.5, 1.5),
+                       eta=rng.uniform(-2.0, 3.0), lam=rng.uniform(0.0, 3.0),
+                       n_atoms=int(rng.integers(1, 9)))
+
+
+def _sturm_energy(params, n):
+    mat = build_subspace(params, n)
+    return mat.energy_offset + sturm_lowest_eigenvalue(mat.diag, mat.offdiag)
+
+
+class TestTailBound:
+    def test_offdiagonal_am_gm_bound(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            params = _random_params(rng)
+            na = params.n_atoms
+            for n in range(1, 3 * na + 5):
+                mat = build_subspace(params, n)
+                cap = params.lam * math.sqrt(n) * (na + 1) / (2 * math.sqrt(na))
+                assert mat.offdiag.max(initial=0.0) <= cap * (1 + 1e-15)
+
+    def test_bound_holds_for_every_later_subspace(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            params = _random_params(rng)
+            na, lam = params.n_atoms, np.array([params.lam])
+            tail = _TailBound.of(params)
+            n_mono = params.lam ** 2 * (na + 1) ** 2 / (4 * na * params.omega_f ** 2)
+            n_top = math.ceil(n_mono) + 10
+            energies = np.array([_sturm_energy(params, n) for n in range(n_top + 61)])
+            bounds = np.array([tail.lower(n, lam)[0] for n in range(n_top + 61)])
+            slack = 1e-12 * np.maximum(1.0, np.abs(energies))
+            # L(n) bounds its own block for every n ...
+            assert np.all(bounds <= energies + slack)
+            for n in range(math.ceil(n_mono), n_top + 1):
+                # ... and past n_mono every block n' in [n, n + 60]
+                assert np.all(bounds[n] <= energies[n:n + 61] + slack[n:n + 61])
+                # ... because L is nondecreasing there
+                assert bounds[n + 1] >= bounds[n] - 1e-12 * max(1.0, abs(bounds[n]))
+            # certification needs n past n_mono
+            below = math.ceil(n_mono) - 1
+            if below >= 0:
+                assert not tail.certifies(below, lam, np.array([-1e12]), 0.0)[0]
+
+    def test_default_n_max_certifies_against_the_vacuum(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            params = _random_params(rng)
+            lam = np.array([params.lam])
+            tail = _TailBound.of(params)
+            assert tail.e_vac == subspace_energy(params, 0)
+            n_max = tail.default_n_max(lam, 1e-10)
+            assert tail.certifies(n_max + 1, lam, np.array([tail.e_vac]), 1e-10)[0]
+
+
+def _sequential_scan(params, search=SearchPolicy()):
+    """The one-block-at-a-time scan with the Gershgorin radius
+    2 lam sqrt(n (N_a+1)) that the batched engine replaced, kept as an oracle."""
+    na = params.n_atoms
+    n_max = search.n_max if search.n_max is not None else 10 * na + 100
+    n_monotone = params.lam ** 2 * (na + 1) / params.omega_f ** 2
+    d_max = (na / 2.0) * (abs(params.delta) + abs(params.eta) / 2.0)
+    best_energy, best, at_transition = math.inf, None, False
+    for n in range(n_max + 1):
+        energy, vec = tridiag_ground(build_subspace(params, n))
+        tol = search.tie_tol * max(1.0, abs(best_energy)) if best else 0.0
+        if energy < best_energy - tol:
+            best_energy, best, at_transition = energy, (n, vec), False
+        elif energy < best_energy + tol and best is not None:
+            at_transition = True
+        radius = 2.0 * params.lam * math.sqrt((n + 1) * (na + 1))
+        if (n >= n_monotone
+                and params.omega_f * (n + 1 - na / 2.0) - d_max - radius > best_energy):
+            break
+    else:
+        raise UnboundedSearchError(f"n_max = {n_max}")
+    return best_energy, best[0], best[1], at_transition
+
+
+def _sequential_ladder(params, lam_range, scan_points=400, bisect_tol=1e-12):
+    grid = np.linspace(*lam_range, scan_points)
+    indices = [_sequential_scan(params.replace(lam=float(l)))[1] for l in grid]
+    crossings = []
+    for i in range(len(grid) - 1):
+        n1, n2 = indices[i], indices[i + 1]
+        if n1 == n2:
+            continue
+        a, b = float(grid[i]), float(grid[i + 1])
+
+        def gap(lam):
+            p = params.replace(lam=lam)
+            return subspace_energy(p, n1) - subspace_energy(p, n2)
+
+        fa = gap(a)
+        while b - a > bisect_tol * max(1.0, b):
+            mid = 0.5 * (a + b)
+            if gap(mid) * fa > 0:
+                a = mid
+            else:
+                b = mid
+        crossings.append((0.5 * (a + b), n1, n2))
+    return crossings
+
+
+class TestBatchedScanMatchesSequentialRule:
+    def _assert_same(self, params, search):
+        energy, n, vec, at_transition = _sequential_scan(params, search)
+        result = ground_state(params, search)
+        assert result.subspace_index == n
+        assert result.at_transition == at_transition
+        assert result.energy == energy   # same bits
+        assert np.array_equal(result.state.amplitudes,
+                              _subspace_state(params.n_atoms, n, vec).amplitudes)
+
+    def test_seeded_grid(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            params = ModelParams(omega_f=1.0, delta=rng.uniform(-0.5, 0.5),
+                                 eta=rng.uniform(-1.0, 3.0), lam=rng.uniform(0.0, 2.0),
+                                 n_atoms=int(rng.integers(1, 9)))
+            self._assert_same(params, SearchPolicy())
+
+    def test_ties_at_the_first_critical_coupling(self):
+        flagged = 0
+        for na in (1, 2, 3, 5, 8):
+            for eta in (0.0, 0.25, 0.5):
+                params = _params(eta=eta, n_atoms=na)
+                params = params.replace(lam=critical_coupling_1(params))
+                self._assert_same(params, SearchPolicy(tie_tol=1e-9))
+                flagged += ground_state(params, SearchPolicy(tie_tol=1e-9)).at_transition
+        assert flagged >= 10
+
+    def test_ladder_matches_sequential_scan_and_bisection(self):
+        for na, eta, window in ((2, 0.5, (0.5, 1.1)), (3, 0.0, (0.5, 2.5)),
+                                (5, 0.3, (0.7, 1.1)), (6, -0.4, (0.9, 1.3))):
+            params = _params(eta=eta, n_atoms=na)
+            ladder = transition_ladder(params, window, scan_points=150)
+            assert ladder and ladder == _sequential_ladder(params, window, scan_points=150)
