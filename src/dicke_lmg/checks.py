@@ -102,16 +102,6 @@ def check_commutators(seed: int = 0, n_atoms_max: int = 8) -> tuple[bool, str]:
     return worst < 1e-12, f"max commutator/Casimir residual {worst:.2e}"
 
 
-def check_basis_bijection(seed: int = 0) -> tuple[bool, str]:
-    for na in (1, 2, 5):
-        basis = ProductBasis(n_atoms=na, n_cut=7)
-        for i in range(basis.dimension):
-            k, m = basis.label(i)
-            if basis.index(k, m) != i:
-                return False, f"round trip failed at index {i} (N_a={na})"
-    return True, "index mapping round-trips exactly"
-
-
 def check_rwa_conservation(seed: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst_comm, worst_spec = 0.0, 0.0
@@ -274,7 +264,6 @@ def check_mean_field(seed: int = 0) -> tuple[bool, str]:
 
 SUITES = {
     "commutators": check_commutators,
-    "basis": check_basis_bijection,
     "rwa-conservation": check_rwa_conservation,
     "jacobi": check_jacobi_nondegeneracy,
     "analytic-2x2": check_analytic_2x2,

@@ -44,20 +44,32 @@ class UsageError(Exception):
     pass
 
 
+def _usage(build, **kwargs):
+    """build(**kwargs), reporting the ValueError of a rejected input as a
+    usage error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _delta(args) -> float:
+    if args.delta is None and args.omega is None:
+        raise UsageError("provide --delta or --omega")
+    if args.delta is not None and args.omega is not None:
+        if not abs(args.delta - (args.omega - args.wf)) <= 1e-12:
+            raise UsageError("--delta and --omega are inconsistent "
+                             "(delta must equal omega - wf)")
+    return args.delta if args.delta is not None else args.omega - args.wf
+
+
 def _build_params(args, lam: float | None = None, eta: float | None = None) -> ModelParams:
     lam = lam if lam is not None else args.lam
     eta = eta if eta is not None else args.eta
     if lam is None:
         raise UsageError("missing --lambda")
-    if args.delta is None and args.omega is None:
-        raise UsageError("provide --delta or --omega")
-    if args.delta is not None and args.omega is not None:
-        if abs(args.delta - (args.omega - args.wf)) > 1e-12:
-            raise UsageError("--delta and --omega are inconsistent "
-                             "(delta must equal omega - wf)")
-    delta = args.delta if args.delta is not None else args.omega - args.wf
-    return ModelParams(omega_f=args.wf, delta=delta, eta=eta, lam=lam,
-                       n_atoms=args.na)
+    return _usage(ModelParams, omega_f=args.wf, delta=_delta(args), eta=eta,
+                  lam=lam, n_atoms=args.na)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, need_lambda: bool = True):
@@ -80,6 +92,7 @@ def cmd_solve(args) -> int:
     from .entanglement import cw_of_ground, entropy_of_ground
 
     params = _build_params(args)
+    _usage(fullmodel._check_convergence, tol=args.tol)
     if args.solver == "rwa":
         result = rwa.ground_state(params)
         state, energy = result.state, result.energy
@@ -185,9 +198,6 @@ def write_json(records, path: str):
 
 
 def cmd_sweep(args) -> int:
-    if args.delta is None and args.omega is None:
-        raise UsageError("provide --delta or --omega")
-    delta = args.delta if args.delta is not None else args.omega - args.wf
     workers = args.workers
     threads = os.environ.get("DICKE_LMG_THREADS")
     if workers is None and threads:
@@ -196,10 +206,9 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise UsageError("DICKE_LMG_THREADS must be an integer >= 1, "
                              f"got {threads!r}") from None
-    if workers is not None and workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    spec = sweep_mod.SweepSpec(
-        solver=args.solver, omega_f=args.wf, delta=delta, n_atoms=args.na,
+    spec = _usage(
+        sweep_mod.SweepSpec,
+        solver=args.solver, omega_f=args.wf, delta=_delta(args), n_atoms=args.na,
         lam_axis=(args.lam_min, args.lam_max, args.lam_points),
         eta_axis=(args.eta_min, args.eta_max, args.eta_points),
         tol=args.tol, workers=workers,

@@ -175,6 +175,15 @@ def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool):
     return energy, vec, sector, gap
 
 
+def _check_convergence(**values: float) -> None:
+    """The one check of the convergence inputs (tolerance, tail threshold,
+    starting cutoff): each must be > 0, so NaN is rejected too. ground_full,
+    SweepSpec and the CLI's solve call it."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
 def ground_full(params: ModelParams, tol: float = 1e-8,
                 tail_threshold: float = 1e-10, n_cut_start: int | None = None,
                 n_cut_max: int = 4096,
@@ -185,9 +194,8 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     the energy change between successive cutoffs is below tol * max(1, |E|)
     and the probability on the top two photon layers is below tail_threshold.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     n_cut = n_cut_start if n_cut_start is not None else initial_cutoff(params)
+    _check_convergence(tol=tol, tail_threshold=tail_threshold, n_cut_start=n_cut)
     prev_energy = None
     na = params.n_atoms
     while n_cut <= n_cut_max:

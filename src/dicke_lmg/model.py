@@ -1,11 +1,10 @@
 """Physical parameters, basis conventions, and collective-spin operators.
 
 The qubit ensemble lives in the maximal-j Dicke manifold, j = N_a/2, with
-states labeled by m in ascending order. Half-integer m (odd N_a) is stored
-internally as the integer 2m to keep label comparisons exact. The field-qubit
-product basis is ordered photon-major, m-ascending, so fixed-excitation
-subspaces are easy to extract; a state is a window of photon layers of that
-basis, an amplitude grid of shape (layers, N_a + 1).
+states labeled by m in ascending order. The field-qubit product basis is
+ordered photon-major, m-ascending, so fixed-excitation subspaces are easy to
+extract; a state is a window of photon layers of that basis, an amplitude
+grid of shape (layers, N_a + 1).
 
 All values are in absolute energy units; omega_f = 1 is the recommended
 scale. All Hamiltonians in scope are real symmetric in these bases, so state
@@ -19,19 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _twice_m(n_atoms: int, m: float) -> int:
-    """Convert a Dicke label m to the exact integer 2m, validating range and
-    parity (m is half-integer iff n_atoms is odd)."""
-    tm = round(2.0 * m)
-    if abs(2.0 * m - tm) > 1e-9:
-        raise ValueError(f"m = {m} is not an (half-)integer label")
-    if (tm - n_atoms) % 2 != 0:
-        raise ValueError(f"m = {m} has wrong parity for N_a = {n_atoms}")
-    if abs(tm) > n_atoms:
-        raise ValueError(f"m = {m} outside [-{n_atoms/2}, {n_atoms/2}]")
-    return tm
 
 
 @dataclass(frozen=True)
@@ -97,47 +83,8 @@ class DickeBasis:
         return self.n_atoms + 1
 
     @property
-    def twice_m_values(self) -> tuple[int, ...]:
-        return tuple(range(-self.n_atoms, self.n_atoms + 1, 2))
-
-    @property
     def m_values(self) -> np.ndarray:
-        return np.array(self.twice_m_values, dtype=float) / 2.0
-
-    def index_of(self, m: float) -> int:
-        tm = _twice_m(self.n_atoms, m)
-        return (tm + self.n_atoms) // 2
-
-
-def jz_element(n_atoms: int, m: float) -> float:
-    """Diagonal matrix element <m| J_z |m> = m."""
-    return _twice_m(n_atoms, m) / 2.0
-
-
-def jpm_element(n_atoms: int, m: float, direction: str) -> float:
-    """Ladder matrix element <m +- 1| J_+- |m>.
-
-    Returns sqrt(j(j+1) - m(m +- 1)) with j = N_a/2, and 0 when the target
-    leaves the ladder.
-    """
-    tm = _twice_m(n_atoms, m)
-    if direction not in ("raise", "lower"):
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    sign = +1 if direction == "raise" else -1
-    if abs(tm + 2 * sign) > n_atoms:
-        return 0.0
-    j = n_atoms / 2.0
-    m = tm / 2.0
-    return math.sqrt(j * (j + 1.0) - m * (m + sign))
-
-
-def total_excitation(k: int, m: float, n_atoms: int | None = None) -> float:
-    """Eigenvalue of the total excitation operator a^dag a + J_z at |k>|m>."""
-    if k < 0:
-        raise ValueError("photon count k must be >= 0")
-    if n_atoms is not None:
-        _twice_m(n_atoms, m)
-    return k + m
+        return np.arange(-self.n_atoms, self.n_atoms + 1, 2, dtype=float) / 2.0
 
 
 def jz_matrix(n_atoms: int) -> np.ndarray:
@@ -182,20 +129,10 @@ class ProductBasis:
     def dimension(self) -> int:
         return (self.n_cut + 1) * (self.n_atoms + 1)
 
-    def index(self, k: int, m: float) -> int:
-        if not 0 <= k <= self.n_cut:
-            raise ValueError(f"photon number k = {k} outside [0, {self.n_cut}]")
-        tm = _twice_m(self.n_atoms, m)
-        return k * (self.n_atoms + 1) + (tm + self.n_atoms) // 2
-
-    def label(self, index: int) -> tuple[int, float]:
-        if not 0 <= index < self.dimension:
-            raise ValueError("index out of range")
-        k, pos = divmod(index, self.n_atoms + 1)
-        return k, (2 * pos - self.n_atoms) / 2.0
-
     def labels(self) -> list[tuple[int, float]]:
-        return [self.label(i) for i in range(self.dimension)]
+        """(k, m) of every basis state, in basis order."""
+        return [(k, (2 * p - self.n_atoms) / 2.0)
+                for k in range(self.n_cut + 1) for p in range(self.n_atoms + 1)]
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,18 @@ class SweepSpec:
                 raise ValueError(f"{name} axis needs at least 2 points")
             if not lo < hi:
                 raise ValueError(f"{name} axis min must be < max")
-        if self.lam_axis[0] < 0:
-            raise ValueError("lam axis min must be >= 0")
+        # every grid point lies between the low and the high corner, so if
+        # both corners make valid ModelParams, every point does
+        for corner in (0, 1):
+            self._params(self.lam_axis[corner], self.eta_axis[corner])
+        fullmodel._check_convergence(tol=self.tol,
+                                     tail_threshold=self.tail_threshold)
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (None: one per CPU)")
+
+    def _params(self, lam: float, eta: float) -> ModelParams:
+        return ModelParams(omega_f=self.omega_f, delta=self.delta, eta=eta,
+                           lam=lam, n_atoms=self.n_atoms)
 
     @property
     def lam_values(self) -> np.ndarray:
@@ -92,8 +100,7 @@ class BoundarySegment:
 
 
 def _eval_point(spec: SweepSpec, lam: float, eta: float) -> GridRecord:
-    params = ModelParams(omega_f=spec.omega_f, delta=spec.delta, eta=eta,
-                         lam=lam, n_atoms=spec.n_atoms)
+    params = spec._params(lam, eta)
     try:
         if spec.solver == "rwa":
             result = rwa.ground_state(params)

@@ -50,6 +50,27 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("solve", "--na 0 --lambda 0.5"),
+    ("solve", "--na 2 --lambda -1"),
+    ("solve", "--na 2 --lambda 0.5 --solver full --tol 0"),
+    ("sweep", "--na 2 --lambda-points 1"),
+    ("sweep", "--na 0"),
+    ("sweep", "--na 2 --wf 0"),
+    ("sweep", "--na 2 --lambda-max inf"),
+    ("sweep", "--na 2 --solver full --tol 0"),
+])
+def test_invalid_input_is_usage_error(command, flags, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [command, "--delta", "0"]
+    if command == "sweep":
+        argv += ["--lambda-points", "2", "--eta-points", "2", "--out", str(out)]
+    assert main(argv + flags.split()) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 class TestSolve:
     def test_json_output_round_trips(self, capsys):
         assert main(["solve", "--na", "5", "--delta", "0", "--lambda", "0.5",
@@ -208,6 +229,13 @@ class TestSweepCommand:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_inconsistent_delta_omega_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = [a for a in self._SMALL if a not in ("--delta", "0")]
+        assert main(argv + ["--delta", "0.1", "--omega", "5", "--out", str(out)]) == 2
+        assert "inconsistent" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_threads_env_var_is_usage_error(self, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.setenv("DICKE_LMG_THREADS", "abc")
@@ -236,8 +264,8 @@ class TestConfigFile:
 
 class TestCheckCommand:
     def test_single_suite(self, capsys):
-        assert main(["check", "--suite", "basis"]) == 0
-        assert "[PASS] basis" in capsys.readouterr().out
+        assert main(["check", "--suite", "commutators"]) == 0
+        assert "[PASS] commutators" in capsys.readouterr().out
 
     def test_unknown_suite_fails(self, capsys):
         assert main(["check", "--suite", "nope"]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dicke_lmg import fullmodel
 from dicke_lmg.errors import ConvergenceError
 from dicke_lmg.fullmodel import (build_full, build_rwa_product,
                                  critical_coupling_1_cr, effective_coupling,
@@ -139,6 +140,22 @@ class TestGroundFull:
     def test_initial_cutoff_scales_with_coupling(self):
         assert initial_cutoff(_params(lam=0.1)) >= 16
         assert initial_cutoff(_params(lam=3.0)) > initial_cutoff(_params(lam=0.5))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_cut_start=0),           # the cutoff would double 0 -> 0 forever
+        dict(n_cut_start=-3),
+        dict(tol=math.nan),
+        dict(tail_threshold=0.0),
+        dict(tail_threshold=math.nan),
+    ])
+    def test_rejects_invalid_convergence_inputs_before_solving(self, kwargs,
+                                                               monkeypatch):
+        def solve(*args, **kw):
+            raise AssertionError("solved a cutoff despite an invalid input")
+
+        monkeypatch.setattr(fullmodel, "_solve_cutoff", solve)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ground_full(_params(), **kwargs)
 
     def test_convergence_error_when_cap_exceeded(self):
         with pytest.raises(ConvergenceError):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dicke_lmg.model import (DickeBasis, ModelParams, ProductBasis, PureState,
-                             fix_sign, jm_matrix, jp_matrix, jpm_element,
-                             jx_matrix, jy_matrix, jz_element, jz_matrix,
-                             total_excitation)
+                             fix_sign, jm_matrix, jp_matrix, jx_matrix,
+                             jy_matrix, jz_matrix)
 
 
 def test_params_consistency():
@@ -35,36 +34,6 @@ def test_dicke_basis_labels():
     basis = DickeBasis(5)
     assert basis.dimension == 6
     assert basis.m_values[0] == -2.5 and basis.m_values[-1] == 2.5
-    assert basis.index_of(-2.5) == 0 and basis.index_of(0.5) == 3
-    # m is half-integer iff N_a odd
-    with pytest.raises(ValueError):
-        basis.index_of(0.0)
-    assert DickeBasis(4).index_of(0.0) == 2
-
-
-def test_jz_element():
-    assert jz_element(2, -1) == -1.0
-    assert jz_element(5, 0.5) == 0.5
-    assert jz_element(4, 0) == 0.0
-    with pytest.raises(ValueError):
-        jz_element(2, 2)
-
-
-def test_jpm_element():
-    assert jpm_element(2, -1, "raise") == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert jpm_element(5, 2.5, "raise") == 0.0
-    # frozen from sqrt(j(j+1) - m(m-1)), j = 2, m = 0
-    assert jpm_element(4, 0, "lower") == pytest.approx(2.449489742783178, abs=1e-12)
-    with pytest.raises(ValueError):
-        jpm_element(2, -1, "+")
-
-
-def test_total_excitation():
-    assert total_excitation(0, -2.5, 5) == -2.5
-    assert total_excitation(1, -2.5, 5) == -1.5
-    assert total_excitation(3, 0.5, 5) == 3.5
-    with pytest.raises(ValueError):
-        total_excitation(-1, 0.5, 5)
 
 
 @pytest.mark.parametrize("na", range(1, 9))
@@ -77,20 +46,9 @@ def test_su2_algebra(na):
     assert np.abs(jp_matrix(na) - jm_matrix(na).T).max() == 0
 
 
-@pytest.mark.parametrize("na,n_cut", [(1, 0), (2, 3), (5, 7)])
-def test_product_basis_bijection(na, n_cut):
-    basis = ProductBasis(n_atoms=na, n_cut=n_cut)
-    assert basis.dimension == (n_cut + 1) * (na + 1)
-    seen = set()
-    for i in range(basis.dimension):
-        k, m = basis.label(i)
-        assert basis.index(k, m) == i
-        seen.add((k, m))
-    assert len(seen) == basis.dimension
-
-
 def test_product_basis_ordering_photon_major():
     basis = ProductBasis(n_atoms=2, n_cut=1)
+    assert basis.dimension == 6
     assert basis.labels() == [(0, -1.0), (0, 0.0), (0, 1.0),
                               (1, -1.0), (1, 0.0), (1, 1.0)]
 
@@ -100,7 +58,7 @@ def _state(n_atoms: int, terms: dict) -> PureState:
     k0 = min(k for k, _ in terms)
     grid = np.zeros((max(k for k, _ in terms) - k0 + 1, n_atoms + 1))
     for (k, m), a in terms.items():
-        grid[k - k0, DickeBasis(n_atoms).index_of(m)] = a
+        grid[k - k0, round(m + n_atoms / 2)] = a
     return PureState(grid.ravel(), n_atoms, k0)
 
 
@@ -116,9 +74,8 @@ def test_pure_state_overlap_matches_by_label():
     a = _state(2, {(0, -1.0): 1.0})
     b = _state(2, {(1, 0.0): 0.6, (0, -1.0): 0.8})
     assert a.overlap(b) == pytest.approx(0.8, abs=1e-15)
-    basis = ProductBasis(n_atoms=2, n_cut=1)
-    assert b.amplitudes[basis.index(0, -1.0)] == 0.8
-    assert b.amplitudes[basis.index(1, 0.0)] == 0.6
+    assert b.grid[0, 0] == 0.8      # |0>_f |m=-1>
+    assert b.grid[1, 1] == 0.6      # |1>_f |m=0>
 
 
 def test_pure_state_overlap_on_shifted_layers():

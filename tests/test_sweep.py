@@ -31,6 +31,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             _spec(workers=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_atoms=0),
+        dict(omega_f=0.0),
+        dict(delta=float("nan")),
+        dict(lam_axis=(0.1, float("inf"), 4)),
+        dict(eta_axis=(-float("inf"), 0.5, 3)),
+        dict(solver="full", tol=0.0),
+        dict(solver="full", tol=float("nan")),
+        dict(solver="full", tail_threshold=0.0),
+    ])
+    def test_rejects_invalid_point_or_tolerance_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            _spec(**kwargs)
+
 
 class TestRunSweep:
     def test_grid_order_eta_major_lam_ascending(self):
