@@ -151,6 +151,8 @@ def cmd_critical(args) -> int:
 
 def cmd_ladder(args) -> int:
     params = _build_params(args, lam=args.lam_min)
+    _usage(rwa._check_ladder, lam_range=(args.lam_min, args.lam_max),
+           scan_points=args.points)
     crossings = rwa.transition_ladder(params, (args.lam_min, args.lam_max),
                                       scan_points=args.points)
     if not crossings:
@@ -213,6 +215,10 @@ def cmd_sweep(args) -> int:
         eta_axis=(args.eta_min, args.eta_max, args.eta_points),
         tol=args.tol, workers=workers,
         use_parity_blocks=args.parity_blocks)
+    # a sweep can take hours: refuse an unwritable destination before it starts
+    directory = os.path.dirname(args.out) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"output directory {directory!r} does not exist")
     start = time.time()
     records = sweep_mod.run_sweep(spec)
     elapsed = time.time() - start

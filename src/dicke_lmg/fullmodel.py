@@ -18,6 +18,7 @@ can optionally be diagonalized separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +28,11 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConvergenceError
-from .model import (ModelParams, ProductBasis, PureState, fix_sign, jp_matrix,
-                    jz_matrix)
+from .model import (DickeBasis, ModelParams, ProductBasis, PureState, fix_sign,
+                    jp_matrix)
 
-# above this dimension the lowest eigenpair comes from Lanczos (ARPACK)
+# a block above this dimension is assembled as CSR and solved by Lanczos
+# (ARPACK); the choice is made per parity block, by its own dimension
 _DENSE_LIMIT = 1500
 
 
@@ -58,26 +60,84 @@ class ConvergedGround:
     parity_gap: float | None = None
 
 
-def _operators(params: ModelParams, n_cut: int, sparse: bool,
-               counter_rotating: bool = True):
-    """H on the product basis; without counter-rotating terms the coupling is
-    its rotating-wave part lam N_a^{-1/2} (a J_+ + a^dag J_-)."""
+@dataclass(frozen=True)
+class _Layout:
+    """Where the entries of H sit on the product basis at cutoff n_cut, or on
+    one parity sector of it (k + p even for sector 0, odd for sector 1).
+
+    ``index`` holds the kept product-basis indices in ascending order, ``k``
+    and ``p`` their photon number and Dicke index. Coupling entry e joins
+    block positions ``rows[e]``, the state (k, p), and ``cols[e]``, the state
+    (k+1, p -/+ 1), with weight sqrt(k+1) <p'|J_+ + J_-|p>. The first
+    ``n_rotating`` entries are the a^dag J_- pairs, the rest the
+    counter-rotating a^dag J_+ pairs. Both keep k + p even or odd, so a sector
+    holds whole blocks of H.
+    """
+
+    index: np.ndarray
+    k: np.ndarray
+    p: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    n_rotating: int
+
+    @classmethod
+    def build(cls, n_atoms: int, n_cut: int, sector: int | None) -> "_Layout":
+        width = n_atoms + 1
+        k, p = np.divmod(np.arange((n_cut + 1) * width), width)
+        index = (np.arange(k.size) if sector is None
+                 else np.flatnonzero((k + p) % 2 == sector))
+        position = np.zeros(k.size, dtype=np.intp)
+        position[index] = np.arange(index.size)
+        band = np.diagonal(jp_matrix(n_atoms), -1)      # <p+1|J_+|p>
+        k, p = k[index], p[index]
+        rows, cols, weights = [], [], []
+        for shift in (-1, 1):
+            sel = (k < n_cut) & (p + shift >= 0) & (p + shift <= n_atoms)
+            rows.append(position[index[sel]])
+            cols.append(position[index[sel] + width + shift])
+            weights.append(np.sqrt(k[sel] + 1.0)
+                           * band[np.minimum(p[sel], p[sel] + shift)])
+        return cls(index=index, k=k.astype(float), p=p, rows=np.concatenate(rows),
+                   cols=np.concatenate(cols), weights=np.concatenate(weights),
+                   n_rotating=rows[0].size)
+
+
+# cached only where the whole product basis is small enough for dense solves:
+# there the assembly overhead counts, and one table stays below 0.1 MB
+_cached_layout = functools.lru_cache(maxsize=32)(_Layout.build)
+
+
+def _layout(n_atoms: int, n_cut: int, sector: int | None) -> _Layout:
+    small = (n_cut + 1) * (n_atoms + 1) <= _DENSE_LIMIT
+    return (_cached_layout if small else _Layout.build)(n_atoms, n_cut, sector)
+
+
+def _hamiltonian(params: ModelParams, layout: _Layout, sparse: bool = False,
+                 counter_rotating: bool = True):
+    """H on the states of ``layout``, dense or CSR, written from its bands:
+    the diagonal omega_f k + omega m + eta m^2 / N_a and the coupling entries
+    lam N_a^{-1/2} sqrt(k+1) <p'|J_+ + J_-|p>. Without counter-rotating terms
+    the coupling is its rotating-wave part lam N_a^{-1/2} (a J_+ + a^dag J_-)."""
     na = params.n_atoms
-    kron = scipy.sparse.kron if sparse else np.kron
-    eye = (lambda d: scipy.sparse.identity(d)) if sparse else np.eye
-    photon = np.diag(np.arange(n_cut + 1, dtype=float))
-    ad = np.diag(np.sqrt(np.arange(1, n_cut + 1)), -1)
-    jz = jz_matrix(na)
-    spin = params.omega * jz + params.eta * jz @ jz / na
-    jp = jp_matrix(na)
-    jpm = jp + jp.T
+    m = DickeBasis(na).m_values
+    spin = params.omega * m + params.eta * m * m / na
+    diag = params.omega_f * layout.k + spin[layout.p]
+    end = layout.weights.size if counter_rotating else layout.n_rotating
+    coupling = params.lam / math.sqrt(na) * layout.weights[:end]
+    rows, cols = layout.rows[:end], layout.cols[:end]
+    dim = layout.index.size
     if sparse:
-        photon, ad, spin, jpm = map(scipy.sparse.csr_matrix, (photon, ad, spin, jpm))
-    coupling = (kron(ad + ad.T, jpm) if counter_rotating
-                else kron(ad.T, jp) + kron(ad, jp.T))
-    h = (params.omega_f * kron(photon, eye(na + 1))
-         + kron(eye(n_cut + 1), spin)
-         + params.lam / math.sqrt(na) * coupling)
+        at = np.arange(dim)
+        return scipy.sparse.csr_matrix(
+            (np.concatenate([diag, coupling, coupling]),
+             (np.concatenate([at, rows, cols]), np.concatenate([at, cols, rows]))),
+            shape=(dim, dim))
+    h = np.zeros((dim, dim))
+    np.fill_diagonal(h, diag)
+    h[rows, cols] = coupling
+    h[cols, rows] = coupling
     return h
 
 
@@ -85,7 +145,8 @@ def _dense(params: ModelParams, n_cut: int, counter_rotating: bool) -> FullHamil
     if n_cut < 1:
         raise ValueError("n_cut must be >= 1")
     basis = ProductBasis(n_atoms=params.n_atoms, n_cut=n_cut)
-    matrix = _operators(params, n_cut, sparse=False, counter_rotating=counter_rotating)
+    matrix = _hamiltonian(params, _layout(params.n_atoms, n_cut, None),
+                          counter_rotating=counter_rotating)
     return FullHamiltonian(params=params, basis=basis, matrix=matrix)
 
 
@@ -136,11 +197,11 @@ def initial_cutoff(params: ModelParams) -> int:
                              / params.omega_f ** 2) + params.n_atoms)
 
 
-def _lowest_pair(matrix, dim: int) -> tuple[float, np.ndarray]:
-    if dim <= _DENSE_LIMIT:
-        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else matrix
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, 0])
+def _lowest_pair(matrix) -> tuple[float, np.ndarray]:
+    if not scipy.sparse.issparse(matrix):
+        vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
         return float(vals[0]), vecs[:, 0]
+    dim = matrix.shape[0]
     v0 = np.full(dim, 1.0 / math.sqrt(dim))
     vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
                                            maxiter=50 * dim)
@@ -149,30 +210,26 @@ def _lowest_pair(matrix, dim: int) -> tuple[float, np.ndarray]:
 
 def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool):
     """Lowest eigenpair at fixed cutoff; returns (energy, full vector, parity,
-    parity_gap)."""
+    parity_gap). Each block is assembled directly and solved densely up to
+    _DENSE_LIMIT states, by ARPACK above."""
     dim = (n_cut + 1) * (params.n_atoms + 1)
-    sparse = dim > _DENSE_LIMIT
-    h = _operators(params, n_cut, sparse=sparse)
-    basis = ProductBasis(n_atoms=params.n_atoms, n_cut=n_cut)
-    if not use_parity_blocks:
-        energy, vec = _lowest_pair(h, dim)
-        return energy, vec, None, None
-
-    signs = parity_diagonal(basis)
     results = {}
-    for sector in (+1, -1):
-        idx = np.flatnonzero(signs == sector)
-        block = h[np.ix_(idx, idx)] if not sparse else h.tocsr()[idx][:, idx]
-        energy, sub = _lowest_pair(block, idx.size)
+    for sector in ((0, 1) if use_parity_blocks else (None,)):
+        layout = _layout(params.n_atoms, n_cut, sector)
+        block = _hamiltonian(params, layout, sparse=layout.index.size > _DENSE_LIMIT)
+        energy, sub = _lowest_pair(block)
         vec = np.zeros(dim)
-        vec[idx] = sub
+        vec[layout.index] = sub
         results[sector] = (energy, vec)
-    gap = abs(results[+1][0] - results[-1][0])
+    if not use_parity_blocks:
+        energy, vec = results[None]
+        return energy, vec, None, None
+    (even, even_vec), (odd, odd_vec) = results[0], results[1]
+    gap = abs(even - odd)
     # degenerate doublets resolve to the even-parity member
-    scale = max(1.0, abs(results[+1][0]))
-    sector = +1 if results[+1][0] <= results[-1][0] + 1e-10 * scale else -1
-    energy, vec = results[sector]
-    return energy, vec, sector, gap
+    if even <= odd + 1e-10 * max(1.0, abs(even)):
+        return even, even_vec, +1, gap
+    return odd, odd_vec, -1, gap
 
 
 def _check_convergence(**values: float) -> None:

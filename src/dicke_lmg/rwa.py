@@ -339,6 +339,17 @@ def first_nonvacuum_state(params: ModelParams) -> PureState:
     return _subspace_state(params.n_atoms, 1, np.array([h / norm, 1.0 / norm]))
 
 
+def _check_ladder(lam_range: tuple[float, float], scan_points: int) -> None:
+    """The one check of the ladder inputs: a positive, ordered, finite lam
+    range scanned on at least 2 points. transition_ladder and the CLI's
+    ladder call it."""
+    lo, hi = lam_range
+    if not (0 < lo < hi) or not math.isfinite(hi):
+        raise ValueError("lam range must be positive, ordered, and finite")
+    if scan_points < 2:
+        raise ValueError(f"scan points must be >= 2, got {scan_points}")
+
+
 def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
                       scan_points: int = 400,
                       bisect_tol: float = 1e-12) -> list[tuple[float, int, int]]:
@@ -350,10 +361,8 @@ def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
     changes. Returns ascending (lam*, n_before, n_after) triples; empty if no
     crossing lies in range.
     """
-    lo, hi = lam_range
-    if not (0 < lo < hi) or not math.isfinite(hi):
-        raise ValueError("lam range must be positive, ordered, and finite")
-    grid = np.linspace(lo, hi, scan_points)
+    _check_ladder(lam_range, scan_points)
+    grid = np.linspace(*lam_range, scan_points)
     search = SearchPolicy()
     indices = [int(c[0]) if c.size == 1
                else _decide(params.replace(lam=float(l)), c, search.tie_tol)[0]

@@ -10,7 +10,6 @@ independent tasks; results are collected by grid index so the output order
 from __future__ import annotations
 
 import concurrent.futures
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,9 @@ from .model import ModelParams, PureState
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid description: fixed physical parameters plus the two swept axes,
-    each given as (min, max, count)."""
+    each given as (min, max, count). ``workers`` None or 1 evaluates the
+    points serially; a larger count runs them on that many threads, which
+    the interpreter lock keeps from paying off at small matrix sizes."""
 
     solver: str                      # "rwa" | "full"
     omega_f: float
@@ -52,7 +53,7 @@ class SweepSpec:
         fullmodel._check_convergence(tol=self.tol,
                                      tail_threshold=self.tail_threshold)
         if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (None: one per CPU)")
+            raise ValueError("workers must be >= 1 (None: serial)")
 
     def _params(self, lam: float, eta: float) -> ModelParams:
         return ModelParams(omega_f=self.omega_f, delta=self.delta, eta=eta,
@@ -130,11 +131,10 @@ def run_sweep(spec: SweepSpec) -> list[GridRecord]:
     identical regardless of the parallelism width."""
     points = [(float(eta), float(lam))
               for eta in spec.eta_values for lam in spec.lam_values]
-    workers = spec.workers or os.cpu_count() or 1
-    if workers == 1:
+    if (spec.workers or 1) == 1:
         return [_eval_point(spec, lam, eta) for eta, lam in points]
     results: list[GridRecord | None] = [None] * len(points)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=spec.workers) as pool:
         futures = {pool.submit(_eval_point, spec, lam, eta): i
                    for i, (eta, lam) in enumerate(points)}
         for fut in concurrent.futures.as_completed(futures):

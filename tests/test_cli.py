@@ -125,6 +125,16 @@ class TestLadder:
         assert "no transitions" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flags", ["--points 0", "--points -3",
+                                       "--lambda-min 0"])
+    def test_invalid_range_or_points_is_usage_error(self, flags, capsys):
+        argv = ["ladder", "--na", "2", "--delta", "0", "--lambda-min", "0.5",
+                "--lambda-max", "1"] + flags.split()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and captured.out == ""
+
+
 class TestCsvRoundTrip:
     def _records(self):
         return [
@@ -235,6 +245,19 @@ class TestSweepCommand:
         assert main(argv + ["--delta", "0.1", "--omega", "5", "--out", str(out)]) == 2
         assert "inconsistent" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_output_directory_is_usage_error_before_solving(
+            self, tmp_path, monkeypatch, capsys):
+        from dicke_lmg import sweep as sweep_mod
+
+        def no_sweep(spec):
+            raise AssertionError("swept a grid whose output cannot be written")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", no_sweep)
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main(self._SMALL + ["--out", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "missing_dir").exists()
 
     def test_non_integer_threads_env_var_is_usage_error(self, tmp_path,
                                                         monkeypatch, capsys):

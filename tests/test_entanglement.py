@@ -61,6 +61,20 @@ class TestTraceOutField:
             0.48, abs=1e-14)
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_layer_by_layer_sum_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n_atoms = int(rng.integers(1, 12))
+        grid = rng.standard_normal((int(rng.integers(1, 300)), n_atoms + 1))
+        grid[rng.random(grid.shape) < 0.3] = 0.0   # signed zeros in the products
+        state = PureState((grid / np.linalg.norm(grid)).ravel(), n_atoms,
+                          int(rng.integers(0, 4)))
+        rho = np.zeros((n_atoms + 1, n_atoms + 1))
+        for row in state.grid:                      # ascending photon layers
+            rho += np.outer(row, row)
+        assert trace_out_field(state).tobytes() == rho.tobytes()
+
+
 class TestEntropy:
     def test_known_values(self):
         assert entropy_of_entanglement(np.eye(2) / 2) == pytest.approx(1.0,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from dicke_lmg import fullmodel
 from dicke_lmg.errors import ConvergenceError
@@ -10,7 +11,7 @@ from dicke_lmg.fullmodel import (build_full, build_rwa_product,
                                  critical_coupling_1_cr, effective_coupling,
                                  ground_full, initial_cutoff, parity_diagonal,
                                  parity_matrix)
-from dicke_lmg.model import ModelParams
+from dicke_lmg.model import ModelParams, ProductBasis, jp_matrix, jz_matrix
 from dicke_lmg.rwa import critical_coupling_1, ground_state
 
 
@@ -171,6 +172,72 @@ class TestGroundFull:
         from dicke_lmg.fullmodel import _solve_cutoff
         sparse_e, _, _, _ = _solve_cutoff(params, n_cut, use_parity_blocks=False)
         assert sparse_e == pytest.approx(dense_e, abs=1e-8)
+
+
+def _kron_hamiltonian(params, n_cut, counter_rotating):
+    """H from dense Kronecker products of the field and spin operators, the
+    textbook assembly the band builder replaces."""
+    na = params.n_atoms
+    photon = np.diag(np.arange(n_cut + 1, dtype=float))
+    ad = np.diag(np.sqrt(np.arange(1, n_cut + 1)), -1)
+    jz = jz_matrix(na)
+    spin = params.omega * jz + params.eta * jz @ jz / na
+    jp = jp_matrix(na)
+    coupling = (np.kron(ad + ad.T, jp + jp.T) if counter_rotating
+                else np.kron(ad.T, jp) + np.kron(ad, jp.T))
+    return (params.omega_f * np.kron(photon, np.eye(na + 1))
+            + np.kron(np.eye(n_cut + 1), spin)
+            + params.lam / math.sqrt(na) * coupling)
+
+
+def _builder_params(n_atoms):
+    """Both signs of omega and eta, and a zero coupling."""
+    return [_params(lam=0.73, eta=1.3, delta=0.4, n_atoms=n_atoms),
+            _params(omega_f=0.7, lam=1.9, eta=-0.8, delta=-2.1, n_atoms=n_atoms),
+            _params(lam=0.0, eta=0.0, delta=-1.0, n_atoms=n_atoms)]
+
+
+class TestBandBuilder:
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_full_basis_equals_kron_assembly_bit_for_bit(self, n_atoms):
+        for params in _builder_params(n_atoms):
+            for n_cut in (1, 4, 17):
+                for cr, build in ((True, build_full), (False, build_rwa_product)):
+                    matrix = build(params, n_cut).matrix
+                    assert matrix.tobytes() == _kron_hamiltonian(params, n_cut, cr).tobytes()
+
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_parity_blocks_equal_slices_of_the_full_matrix(self, n_atoms):
+        for params in _builder_params(n_atoms):
+            for n_cut in (1, 4, 17, 33):
+                basis = ProductBasis(n_atoms=n_atoms, n_cut=n_cut)
+                signs = parity_diagonal(basis)
+                for cr, build in ((True, build_full), (False, build_rwa_product)):
+                    full = build(params, n_cut).matrix
+                    for sector, sign in ((0, 1.0), (1, -1.0)):
+                        idx = np.flatnonzero(signs == sign)
+                        layout = fullmodel._layout(n_atoms, n_cut, sector)
+                        assert np.array_equal(layout.index, idx)
+                        block = fullmodel._hamiltonian(params, layout,
+                                                       counter_rotating=cr)
+                        assert block.tobytes() == full[np.ix_(idx, idx)].tobytes()
+                        csr = fullmodel._hamiltonian(params, layout, sparse=True,
+                                                     counter_rotating=cr)
+                        assert csr.has_sorted_indices
+                        assert np.array_equal(csr.toarray(), block)
+
+    def test_block_is_csr_only_above_the_dense_limit(self, monkeypatch):
+        # the block's own dimension picks the solver: n_cut = 400 at N_a = 3
+        # gives a full basis of 1604 states but parity blocks of 802
+        calls = []
+        monkeypatch.setattr(fullmodel, "_lowest_pair",
+                            lambda m: calls.append(m) or (0.0, np.zeros(m.shape[0])))
+        params = _params(lam=0.5, n_atoms=3)
+        fullmodel._solve_cutoff(params, 400, use_parity_blocks=True)
+        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(False, 802)] * 2
+        calls.clear()
+        fullmodel._solve_cutoff(params, 400, use_parity_blocks=False)
+        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(True, 1604)]
 
 
 class TestRwaProduct:

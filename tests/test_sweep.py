@@ -68,6 +68,20 @@ class TestRunSweep:
         parallel = run_sweep(_spec(workers=4))
         assert serial == parallel   # GridRecord comparison ignores the state
 
+    def test_default_width_is_serial(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default sweep started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        for solver in ("rwa", "full"):
+            spec = _spec(solver=solver, workers=None, lam_axis=(0.1, 0.9, 3),
+                         eta_axis=(0.0, 0.5, 2))
+            assert run_sweep(spec) == run_sweep(_spec(
+                solver=solver, workers=1, lam_axis=(0.1, 0.9, 3),
+                eta_axis=(0.0, 0.5, 2)))
+
     def test_runs_repeatably(self):
         assert run_sweep(_spec()) == run_sweep(_spec())
 
