@@ -32,8 +32,11 @@ from .model import (DickeBasis, ModelParams, ProductBasis, PureState, fix_sign,
                     jp_matrix)
 
 # a block above this dimension is assembled as CSR and solved by Lanczos
-# (ARPACK); the choice is made per parity block, by its own dimension
-_DENSE_LIMIT = 1500
+# (ARPACK), at or below it densely; the choice is made per parity block, by its
+# own dimension. Cold ARPACK overtakes dense eigh at 250-500 states for
+# N_a = 5..40 (README). Every N_a = 5 block with lam <= 0.6 (at most 123
+# states) stays dense
+_DENSE_LIMIT = 350
 
 
 @dataclass(frozen=True)
@@ -104,13 +107,16 @@ class _Layout:
                    n_rotating=rows[0].size)
 
 
-# cached only where the whole product basis is small enough for dense solves:
+# cached only where the whole product basis has at most _CACHE_LIMIT states:
 # there the assembly overhead counts, and one table stays below 0.1 MB
+_CACHE_LIMIT = 1500
 _cached_layout = functools.lru_cache(maxsize=32)(_Layout.build)
 
 
 def _layout(n_atoms: int, n_cut: int, sector: int | None) -> _Layout:
-    small = (n_cut + 1) * (n_atoms + 1) <= _DENSE_LIMIT
+    """The layout is photon-major, so its ``index`` at cutoff n is a prefix of
+    its ``index`` at any larger cutoff."""
+    small = (n_cut + 1) * (n_atoms + 1) <= _CACHE_LIMIT
     return (_cached_layout if small else _Layout.build)(n_atoms, n_cut, sector)
 
 
@@ -197,39 +203,56 @@ def initial_cutoff(params: ModelParams) -> int:
                              / params.omega_f ** 2) + params.n_atoms)
 
 
-def _lowest_pair(matrix) -> tuple[float, np.ndarray]:
+def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a dense block by eigh, of a CSR block by ARPACK.
+    ARPACK starts from ``start`` zero-padded to the block's dimension, or from
+    the uniform vector without one."""
     if not scipy.sparse.issparse(matrix):
         vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
         return float(vals[0]), vecs[:, 0]
     dim = matrix.shape[0]
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
-                                           maxiter=50 * dim)
+    if start is None:
+        v0 = np.full(dim, 1.0 / math.sqrt(dim))
+    else:
+        v0 = np.zeros(dim)
+        v0[:start.size] = start
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
+                                               maxiter=50 * dim)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK did not converge on a {dim}-state block") from exc
     return float(vals[0]), vecs[:, 0]
 
 
-def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool):
+def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool,
+                  starts: dict | None = None):
     """Lowest eigenpair at fixed cutoff; returns (energy, full vector, parity,
-    parity_gap). Each block is assembled directly and solved densely up to
-    _DENSE_LIMIT states, by ARPACK above."""
+    parity_gap, block vectors). Each block is assembled directly and solved
+    densely up to _DENSE_LIMIT states, by ARPACK above. The block vectors map
+    each sector (0 and 1, or None without parity blocks) to its ground vector;
+    passed back in as ``starts`` at a larger cutoff, they start ARPACK there,
+    since a sector's states at this cutoff are a prefix of its states at any
+    larger one."""
     dim = (n_cut + 1) * (params.n_atoms + 1)
-    results = {}
+    starts = starts or {}
+    results, blocks = {}, {}
     for sector in ((0, 1) if use_parity_blocks else (None,)):
         layout = _layout(params.n_atoms, n_cut, sector)
         block = _hamiltonian(params, layout, sparse=layout.index.size > _DENSE_LIMIT)
-        energy, sub = _lowest_pair(block)
+        energy, blocks[sector] = _lowest_pair(block, starts.get(sector))
         vec = np.zeros(dim)
-        vec[layout.index] = sub
+        vec[layout.index] = blocks[sector]
         results[sector] = (energy, vec)
     if not use_parity_blocks:
         energy, vec = results[None]
-        return energy, vec, None, None
+        return energy, vec, None, None, blocks
     (even, even_vec), (odd, odd_vec) = results[0], results[1]
     gap = abs(even - odd)
     # degenerate doublets resolve to the even-parity member
     if even <= odd + 1e-10 * max(1.0, abs(even)):
-        return even, even_vec, +1, gap
-    return odd, odd_vec, -1, gap
+        return even, even_vec, +1, gap, blocks
+    return odd, odd_vec, -1, gap, blocks
 
 
 def _check_convergence(**values: float) -> None:
@@ -250,13 +273,15 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     Doubles the photon cutoff from an initial displaced-oscillator guess until
     the energy change between successive cutoffs is below tol * max(1, |E|)
     and the probability on the top two photon layers is below tail_threshold.
+    Each doubling starts ARPACK from the previous cutoff's block vectors.
     """
     n_cut = n_cut_start if n_cut_start is not None else initial_cutoff(params)
     _check_convergence(tol=tol, tail_threshold=tail_threshold, n_cut_start=n_cut)
-    prev_energy = None
+    prev_energy, blocks = None, None
     na = params.n_atoms
     while n_cut <= n_cut_max:
-        energy, vec, parity, gap = _solve_cutoff(params, n_cut, use_parity_blocks)
+        energy, vec, parity, gap, blocks = _solve_cutoff(
+            params, n_cut, use_parity_blocks, starts=blocks)
         tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
         if (prev_energy is not None
                 and abs(energy - prev_energy) < tol * max(1.0, abs(energy))

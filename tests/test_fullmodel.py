@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from dicke_lmg import fullmodel
+from dicke_lmg.entanglement import (cw_of_ground, entropy_of_ground,
+                                    trace_out_field)
 from dicke_lmg.errors import ConvergenceError
 from dicke_lmg.fullmodel import (build_full, build_rwa_product,
                                  critical_coupling_1_cr, effective_coupling,
@@ -163,14 +167,15 @@ class TestGroundFull:
             ground_full(_params(lam=2.0), n_cut_max=4)
 
     def test_sparse_path_matches_dense(self):
-        # dimension 4 * 401 = 1604 exceeds the dense threshold
+        # dimension 4 * (n_cut + 1) exceeds the dense threshold
         params = _params(lam=0.5, n_atoms=3)
-        n_cut = 400
+        n_cut = fullmodel._DENSE_LIMIT // 4 + 1
         ham = build_full(params, n_cut)
+        assert ham.matrix.shape[0] > fullmodel._DENSE_LIMIT
         dense_e = scipy.linalg.eigh(ham.matrix, subset_by_index=[0, 0],
                                     eigvals_only=True)[0]
         from dicke_lmg.fullmodel import _solve_cutoff
-        sparse_e, _, _, _ = _solve_cutoff(params, n_cut, use_parity_blocks=False)
+        sparse_e = _solve_cutoff(params, n_cut, use_parity_blocks=False)[0]
         assert sparse_e == pytest.approx(dense_e, abs=1e-8)
 
 
@@ -227,17 +232,150 @@ class TestBandBuilder:
                         assert np.array_equal(csr.toarray(), block)
 
     def test_block_is_csr_only_above_the_dense_limit(self, monkeypatch):
-        # the block's own dimension picks the solver: n_cut = 400 at N_a = 3
-        # gives a full basis of 1604 states but parity blocks of 802
+        # the block's own dimension picks the solver: at N_a = 3 this n_cut
+        # gives parity blocks of at most _DENSE_LIMIT states but a full basis
+        # of twice that
         calls = []
         monkeypatch.setattr(fullmodel, "_lowest_pair",
-                            lambda m: calls.append(m) or (0.0, np.zeros(m.shape[0])))
+                            lambda m, start=None: calls.append(m)
+                            or (0.0, np.zeros(m.shape[0])))
         params = _params(lam=0.5, n_atoms=3)
-        fullmodel._solve_cutoff(params, 400, use_parity_blocks=True)
-        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(False, 802)] * 2
+        n_cut = fullmodel._DENSE_LIMIT // 2 - 1
+        half = 2 * (n_cut + 1)
+        assert half <= fullmodel._DENSE_LIMIT < 2 * half
+        fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=True)
+        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(False, half)] * 2
         calls.clear()
-        fullmodel._solve_cutoff(params, 400, use_parity_blocks=False)
-        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(True, 1604)]
+        fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=False)
+        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(True, 2 * half)]
+
+
+# the full-solve-large-n benchmark strata: every block size from dense to
+# 10066-state ARPACK blocks
+_LARGE_GRID = list(itertools.product((10, 20, 40), (0.15, 0.45, 0.8)))
+
+
+def _arpack_spy(monkeypatch):
+    """Record (block, v0, eigenvalue, eigenvector) of every ARPACK call."""
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(matrix, **kwargs):
+        vals, vecs = eigsh(matrix, **kwargs)
+        calls.append((matrix, kwargs["v0"], vals[0], vecs[:, 0]))
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("sector", [0, 1, None])
+    def test_layout_is_a_prefix_of_every_larger_cutoff(self, sector):
+        for n_atoms in (1, 4, 9):
+            for n_cut, larger in ((1, 2), (3, 7), (16, 32), (40, 400)):
+                small = fullmodel._layout(n_atoms, n_cut, sector).index
+                big = fullmodel._layout(n_atoms, larger, sector).index
+                assert np.array_equal(big[:small.size], small)
+
+    @pytest.mark.parametrize("n_atoms,lam", _LARGE_GRID)
+    def test_warm_lanczos_matches_dense_eigh(self, n_atoms, lam, monkeypatch):
+        # the doubling from n_cut to 2 n_cut, with n_cut capped so that dense
+        # eigh of the larger block stays near 2000 states
+        params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
+        n_cut = min(initial_cutoff(params), 2000 // (n_atoms + 1))
+        starts = fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=True)[4]
+        calls = _arpack_spy(monkeypatch)
+        for sector in (0, 1):
+            layout = fullmodel._layout(n_atoms, 2 * n_cut, sector)
+            dense_e, dense_v = scipy.linalg.eigh(
+                fullmodel._hamiltonian(params, layout), subset_by_index=[0, 0])
+            energy, vec = fullmodel._lowest_pair(
+                fullmodel._hamiltonian(params, layout, sparse=True), starts[sector])
+            assert abs(energy - dense_e[0]) <= 1e-12 * max(1.0, abs(energy))
+            assert abs(dense_v[:, 0] @ vec) >= 1.0 - 1e-12
+            # the padded start is already close to the answer
+            assert abs(dense_v[:, 0] @ calls[-1][1]) > 0.99
+
+    @pytest.mark.parametrize("n_atoms,lam", _LARGE_GRID)
+    def test_ground_full_matches_cold_dense_solves(self, n_atoms, lam, monkeypatch):
+        # the reference solves every block of up to 3000 states densely and
+        # starts ARPACK cold above that, where a dense matrix would need GBs
+        params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
+        warm = ground_full(params, use_parity_blocks=True)
+        lowest = fullmodel._lowest_pair
+        monkeypatch.setattr(fullmodel, "_DENSE_LIMIT", 3000)
+        monkeypatch.setattr(fullmodel, "_lowest_pair",
+                            lambda block, start=None: lowest(block))
+        cold = ground_full(params, use_parity_blocks=True)
+        assert (warm.n_cut_used, warm.parity) == (cold.n_cut_used, cold.parity)
+        assert abs(warm.energy - cold.energy) <= 1e-12 * max(1.0, abs(cold.energy))
+        rho_warm, rho_cold = trace_out_field(warm.state), trace_out_field(cold.state)
+        assert np.abs(rho_warm - rho_cold).max() <= 1e-12
+        assert abs(entropy_of_ground(warm.state)
+                   - entropy_of_ground(cold.state)) <= 1e-9
+        # C_w adds square roots of three eigenvalues that vanish in exact
+        # arithmetic: a rounding of eps in one moves C_w by up to sqrt(eps)
+        # (two dense eigh calls on one N_a = 20 block differ by 5.6e-9)
+        cw_atol = 3.0 * math.sqrt(np.finfo(float).eps)
+        assert abs(cw_of_ground(warm.state) - cw_of_ground(cold.state)) <= cw_atol
+
+    def test_each_doubling_starts_from_the_previous_block_vector(self, monkeypatch):
+        # parity blocks of 2173 and 4326 states: every solve runs ARPACK
+        calls = _arpack_spy(monkeypatch)
+        ground_full(_params(lam=0.45, eta=0.7, n_atoms=40), use_parity_blocks=True)
+        assert len(calls) >= 4
+        for _, v0, _, _ in calls[:2]:
+            assert np.allclose(v0, 1.0 / math.sqrt(v0.size), rtol=0, atol=1e-15)
+        # two sectors per cutoff: call i + 2 continues call i's sector
+        for (_, _, _, prev), (_, v0, _, vec) in zip(calls, calls[2:]):
+            assert np.array_equal(v0[:prev.size], prev)
+            assert not v0[prev.size:].any()
+            assert abs(v0 @ vec) > 0.9
+
+    def test_exact_eigenvector_start_at_zero_coupling(self, monkeypatch):
+        # at lam = 0 the ground vector of each sector is exact at every
+        # cutoff, so the second cutoff starts ARPACK on an exact eigenvector
+        calls = _arpack_spy(monkeypatch)
+        result = ground_full(_params(lam=0.0, n_atoms=60), use_parity_blocks=True)
+        assert len(calls) == 4
+        for block, v0, energy, _ in calls[2:]:
+            assert np.linalg.norm(block @ v0 - energy * v0) < 1e-12
+        assert result.energy == pytest.approx(-30.0, abs=1e-12)
+        assert (result.n_cut_used, result.parity) == (120, 1)
+        assert result.parity_gap == pytest.approx(1.0, abs=1e-12)
+        assert result.state.grid[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_n5_sweep_domain_builds_no_csr_block(self, monkeypatch):
+        # full-sweep and acceptance 8 solve N_a = 5 at lam <= 0.6; every block
+        # there has at most 123 states and stays on the dense path, which
+        # keeps the sweep CSVs bit-identical
+        built = []
+        build = fullmodel._hamiltonian
+
+        def spy(params, layout, sparse=False, **kwargs):
+            built.append((sparse, layout.index.size))
+            return build(params, layout, sparse, **kwargs)
+
+        monkeypatch.setattr(fullmodel, "_hamiltonian", spy)
+        for lam in np.linspace(0.006, 0.6, 12):
+            for eta in (0.8, 1.2, 1.6):
+                ground_full(_params(lam=lam, eta=eta, n_atoms=5),
+                            use_parity_blocks=True)
+        assert not any(sparse for sparse, _ in built)
+        assert max(dim for _, dim in built) <= 123
+
+    def test_arpack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(matrix, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", np.empty(0), np.empty((matrix.shape[0], 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        layout = fullmodel._layout(20, 40, 0)
+        block = fullmodel._hamiltonian(_params(lam=0.8, n_atoms=20), layout,
+                                       sparse=True)
+        with pytest.raises(ConvergenceError, match=f"{layout.index.size}-state block"):
+            fullmodel._lowest_pair(block)
 
 
 class TestRwaProduct:

@@ -1,0 +1,86 @@
+"""Timings behind the eigensolver choice of the full-model solver.
+
+    PYTHONPATH=src python3 tools/full_solver_timings.py crossover
+    PYTHONPATH=src python3 tools/full_solver_timings.py large-n
+
+``crossover`` times the lowest eigenpair of one parity block (sector 0,
+eta = 0.7) three ways, as the median of 9 calls in ms: dense ``eigh``, ARPACK
+from the uniform vector (cold), and ARPACK from the zero-padded ground vector
+of cutoff n_cut // 2 (warm), for blocks of about 120 to 1000 states at
+N_a = 5..40. ``large-n`` times whole ``ground_full`` solves (delta = eta = 0,
+parity blocks) at N_a 10..80 and reports n_cut_used.
+"""
+
+import argparse
+import math
+import statistics
+import time
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg
+
+from dicke_lmg import fullmodel
+from dicke_lmg.errors import ConvergenceError
+from dicke_lmg.model import ModelParams
+
+
+def _median_ms(call, repeats=9):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def _arpack(block, v0):
+    return scipy.sparse.linalg.eigsh(block, k=1, which="SA", v0=v0,
+                                     maxiter=50 * block.shape[0])
+
+
+def crossover():
+    print("N_a   lam  n_cut  states   dense    cold    warm")
+    for n_atoms in (5, 10, 20, 40):
+        for states in (120, 200, 300, 350, 400, 500, 700, 1000):
+            n_cut = max(2, round(2 * states / (n_atoms + 1)) - 1)
+            for lam in (0.3, 0.8):
+                params = ModelParams(omega_f=1.0, delta=0.0, eta=0.7, lam=lam,
+                                     n_atoms=n_atoms)
+                layout = fullmodel._Layout.build(n_atoms, n_cut, 0)
+                dense = fullmodel._hamiltonian(params, layout)
+                csr = fullmodel._hamiltonian(params, layout, sparse=True)
+                half = fullmodel._Layout.build(n_atoms, n_cut // 2, 0)
+                _, vec = scipy.linalg.eigh(fullmodel._hamiltonian(params, half),
+                                           subset_by_index=[0, 0])
+                dim = layout.index.size
+                warm = np.zeros(dim)
+                warm[:vec.shape[0]] = vec[:, 0]
+                cold = np.full(dim, 1.0 / math.sqrt(dim))
+                times = (_median_ms(lambda: scipy.linalg.eigh(dense, subset_by_index=[0, 0])),
+                         _median_ms(lambda: _arpack(csr, cold)),
+                         _median_ms(lambda: _arpack(csr, warm)))
+                print(f"{n_atoms:>3} {lam:>5} {n_cut:>6} {dim:>7}"
+                      + "".join(f"{t:>8.2f}" for t in times), flush=True)
+
+
+def large_n():
+    print("N_a  " + "  ".join(f"{'lam = ' + str(lam):>20}" for lam in (0.3, 1.0, 2.0)))
+    for n_atoms in (10, 20, 40, 80):
+        cells = []
+        for lam in (0.3, 1.0, 2.0):
+            params = ModelParams(omega_f=1.0, delta=0.0, eta=0.0, lam=lam,
+                                 n_atoms=n_atoms)
+            start = time.perf_counter()
+            try:
+                n_cut = fullmodel.ground_full(params, use_parity_blocks=True).n_cut_used
+            except ConvergenceError:
+                n_cut = "cap"
+            cells.append(f"{time.perf_counter() - start:.3f} s ({n_cut})")
+        print(f"{n_atoms:>3}  " + "  ".join(f"{c:>20}" for c in cells), flush=True)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("table", choices=("crossover", "large-n"))
+    {"crossover": crossover, "large-n": large_n}[parser.parse_args().table]()
