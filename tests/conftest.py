@@ -1,3 +1,18 @@
+import numpy as np
+import pytest
+import scipy.sparse.linalg
+
+
+@pytest.fixture
+def failing_arpack(monkeypatch):
+    """Make every ARPACK call raise ArpackNoConvergence."""
+    def fail(matrix, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "no convergence", np.empty(0), np.empty((matrix.shape[0], 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance pass/fail lines after the run, outside capture."""
     try:

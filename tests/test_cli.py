@@ -49,14 +49,7 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_arpack_failure_is_a_convergence_error(self, capsys, monkeypatch):
-        import scipy.sparse.linalg
-
-        def fail(matrix, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "no convergence", np.empty(0), np.empty((matrix.shape[0], 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    def test_arpack_failure_is_a_convergence_error(self, capsys, failing_arpack):
         code = main(["solve", "--na", "20", "--delta", "0", "--lambda", "0.8",
                      "--solver", "full", "--parity-blocks"])
         assert code == 1

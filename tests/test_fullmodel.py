@@ -365,12 +365,7 @@ class TestWarmStart:
         assert not any(sparse for sparse, _ in built)
         assert max(dim for _, dim in built) <= 123
 
-    def test_arpack_failure_is_a_convergence_error(self, monkeypatch):
-        def fail(matrix, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "no convergence", np.empty(0), np.empty((matrix.shape[0], 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    def test_arpack_failure_is_a_convergence_error(self, failing_arpack):
         layout = fullmodel._layout(20, 40, 0)
         block = fullmodel._hamiltonian(_params(lam=0.8, n_atoms=20), layout,
                                        sparse=True)

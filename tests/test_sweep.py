@@ -149,15 +149,8 @@ class TestBoundaries:
         assert all(r.flags == "noconv" for r in records)
         assert all(np.isnan(r.energy) for r in records)
 
-    def test_arpack_failure_is_flagged_noconv(self, monkeypatch):
+    def test_arpack_failure_is_flagged_noconv(self, failing_arpack):
         # parity blocks of about 1000 states at N_a = 20 go through ARPACK
-        import scipy.sparse.linalg
-
-        def fail(matrix, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "no convergence", np.empty(0), np.empty((matrix.shape[0], 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
         spec = _spec(solver="full", n_atoms=20, lam_axis=(0.7, 0.8, 2),
                      eta_axis=(0.6, 0.7, 2))
         assert [r.flags for r in run_sweep(spec)] == ["noconv"] * 4
