@@ -316,14 +316,18 @@ def _load_config(argv: list[str]) -> list[str]:
         path = argv[i + 1]
     except IndexError:
         return argv
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
     extra: list[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            extra.extend([f"--{key.strip()}", value.strip()])
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        extra.extend([f"--{key.strip()}", value.strip()])
     # insert defaults right after the subcommand (first positional)
     for j, token in enumerate(argv):
         if not token.startswith("-") and j != i + 1:
@@ -336,10 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_load_config(argv))
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
-    try:
         return args.func(args)
+    except SystemExit as exc:         # argparse: --help, or a rejected flag
+        return exc.code if exc.code is not None else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

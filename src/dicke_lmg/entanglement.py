@@ -14,6 +14,7 @@ to zero before logarithms and square roots.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ import numpy as np
 from .model import PureState
 
 _EIG_CLIP = 1e-12
+
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_SY, _SY).real     # real matrix: diag(anti) with signs
 
 
 def trace_out_field(state: PureState) -> np.ndarray:
@@ -42,15 +46,18 @@ def entropy_of_entanglement(rho: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+@functools.cache
 def _pair_amplitudes(n_atoms: int) -> np.ndarray:
     """c[p, q] = sqrt(C(2,q) C(N_a-2, p-q) / C(N_a, p)): weight of q excitations
-    in a fixed pair when the symmetric state holds p excitations in total."""
+    in a fixed pair when the symmetric state holds p excitations in total.
+    Cached per N_a, so the array is read-only."""
     c = np.zeros((n_atoms + 1, 3))
     for p in range(n_atoms + 1):
         for q in range(3):
             if 0 <= p - q <= n_atoms - 2:
                 c[p, q] = math.sqrt(math.comb(2, q) * math.comb(n_atoms - 2, p - q)
                                     / math.comb(n_atoms, p))
+    c.flags.writeable = False
     return c
 
 
@@ -90,9 +97,7 @@ def wootters_concurrence(rho2: np.ndarray) -> float:
     rho2 = np.asarray(rho2)
     if rho2.shape != (4, 4):
         raise ValueError("expected a 4x4 two-qubit density matrix")
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    yy = np.kron(sy, sy).real     # real matrix: diag(anti) with signs
-    flipped = yy @ rho2.conj() @ yy
+    flipped = _YY @ rho2.conj() @ _YY
     # Hermitian route: eigenvalues of sqrt(rho) rho~ sqrt(rho) match those of
     # rho rho~ but come from eigvalsh, which keeps degenerate spectra accurate
     p, v = np.linalg.eigh(rho2)

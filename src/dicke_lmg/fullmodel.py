@@ -18,8 +18,11 @@ can optionally be diagonalized separately.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,26 +206,77 @@ def initial_cutoff(params: ModelParams) -> int:
                              / params.omega_f ** 2) + params.n_atoms)
 
 
-def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a dense block by eigh, of a CSR block by ARPACK.
-    ARPACK starts from ``start`` zero-padded to the block's dimension, or from
-    the uniform vector without one."""
-    if not scipy.sparse.issparse(matrix):
-        vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-        return float(vals[0]), vecs[:, 0]
-    dim = matrix.shape[0]
-    if start is None:
-        v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    else:
-        v0 = np.zeros(dim)
-        v0[:start.size] = start
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count calls of the OpenBLAS that scipy.linalg
+    links, or None where scipy links another BLAS (MKL, Accelerate)."""
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
-                                               maxiter=50 * dim)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"ARPACK did not converge on a {dim}-state block") from exc
-    return float(vals[0]), vecs[:, 0]
+        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+        get = lib.scipy_openblas_get_num_threads
+        set_ = lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# the thread count is one setting of the whole process, so the state of its
+# pin is too
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run scipy's OpenBLAS on one thread inside, restoring the caller's count
+    on exit. Its blocks are too small to split: on two cores the second thread
+    contends with numpy's separate OpenBLAS pool, which may still spin from its
+    last call (README). Concurrent callers (the threads of a sweep with
+    workers > 1) share one pin: the first in saves the count, the last out
+    restores it."""
+    global _blas_depth, _blas_saved
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
+def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a dense block by eigh, of a CSR block by ARPACK,
+    either on one BLAS thread. ARPACK starts from ``start`` zero-padded to the
+    block's dimension, or from the uniform vector without one."""
+    with _one_blas_thread():
+        if not scipy.sparse.issparse(matrix):
+            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+            return float(vals[0]), vecs[:, 0]
+        dim = matrix.shape[0]
+        if start is None:
+            v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        else:
+            v0 = np.zeros(dim)
+            v0[:start.size] = start
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
+                                                   maxiter=50 * dim)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"ARPACK did not converge on a {dim}-state block") from exc
+        return float(vals[0]), vecs[:, 0]
 
 
 def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool,
@@ -274,9 +328,13 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     the energy change between successive cutoffs is below tol * max(1, |E|)
     and the probability on the top two photon layers is below tail_threshold.
     Each doubling starts ARPACK from the previous cutoff's block vectors.
+    Raises ConvergenceError before any solve when twice the starting cutoff
+    exceeds n_cut_max, since no second solve could confirm the first.
     """
     n_cut = n_cut_start if n_cut_start is not None else initial_cutoff(params)
     _check_convergence(tol=tol, tail_threshold=tail_threshold, n_cut_start=n_cut)
+    if 2 * n_cut > n_cut_max:
+        raise _cap_exceeded(params, n_cut_max)
     prev_energy, blocks = None, None
     na = params.n_atoms
     while n_cut <= n_cut_max:
@@ -292,6 +350,10 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
                                    tail_mass=tail, parity=parity, parity_gap=gap)
         prev_energy = energy
         n_cut *= 2
-    raise ConvergenceError(
+    raise _cap_exceeded(params, n_cut_max)
+
+
+def _cap_exceeded(params: ModelParams, n_cut_max: int) -> ConvergenceError:
+    return ConvergenceError(
         f"photon cutoff cap {n_cut_max} exceeded (lam = {params.lam}); "
         "deep superradiant regime beyond desk scale")

@@ -290,6 +290,15 @@ class TestConfigFile:
         cfg.write_text("# phase point\n\nna=3\ndelta=0\nlambda=0.4\n")
         assert main(["--config", str(cfg), "solve"]) == 0
 
+    def test_missing_config_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert main(["--config", str(cfg), "solve", "--na", "3", "--delta", "0",
+                     "--lambda", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: cannot read config file")
+        assert str(cfg) in captured.err and captured.err.count("\n") == 1
+
 
 class TestCheckCommand:
     def test_single_suite(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from dicke_lmg.checks import (pair_reduction_bruteforce, random_product_state,
                               random_symmetric_state)
+from dicke_lmg import entanglement
 from dicke_lmg.entanglement import (cw_of_ground, entropy_of_entanglement,
                                     entropy_of_ground, reduce_to_two_qubits,
                                     trace_out_field, wootters_concurrence)
@@ -165,3 +166,45 @@ class TestConcurrence:
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             wootters_concurrence(np.eye(3) / 3)
+
+    def test_module_constants_leave_cw_bits(self):
+        rng = np.random.default_rng(7)
+        for na in range(2, 9):
+            for _ in range(5):
+                state = random_product_state(rng, na, n_cut=4)
+                assert cw_of_ground(state) == _cw_rebuilt_per_call(state)
+            amplitudes = entanglement._pair_amplitudes(na)
+            assert amplitudes is entanglement._pair_amplitudes(na)
+            assert not amplitudes.flags.writeable
+
+
+def _cw_rebuilt_per_call(state: PureState) -> float:
+    """C_w with the pair amplitudes and sigma_y x sigma_y built afresh on every
+    call, as the formulas stood before they became module constants."""
+    na = state.n_atoms
+    c = np.zeros((na + 1, 3))
+    for p in range(na + 1):
+        for q in range(3):
+            if 0 <= p - q <= na - 2:
+                c[p, q] = math.sqrt(math.comb(2, q) * math.comb(na - 2, p - q)
+                                    / math.comb(na, p))
+    rho_a = trace_out_field(state)
+    rho3 = np.zeros((3, 3))
+    for q in range(3):
+        for qq in range(3):
+            for p in range(na + 1):
+                pp = p + qq - q
+                if 0 <= pp <= na:
+                    rho3[q, qq] += rho_a[p, pp] * c[p, q] * c[pp, qq]
+    embed = np.zeros((4, 3))
+    embed[0, 0] = 1.0
+    embed[1, 1] = embed[2, 1] = 1.0 / math.sqrt(2.0)
+    embed[3, 2] = 1.0
+    rho2 = embed @ rho3 @ embed.T.conj()
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    yy = np.kron(sy, sy).real
+    flipped = yy @ rho2.conj() @ yy
+    p, v = np.linalg.eigh(rho2)
+    root = (v * np.sqrt(np.clip(p, 0.0, None))) @ v.T.conj()
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(root @ flipped @ root)[::-1], 0.0, None))
+    return max(0.0, float(lam[0] - lam[1:].sum()))

@@ -1,5 +1,9 @@
+import contextlib
+import ctypes
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from dicke_lmg import fullmodel
+from dicke_lmg.cli import write_csv
 from dicke_lmg.entanglement import (cw_of_ground, entropy_of_ground,
                                     trace_out_field)
 from dicke_lmg.errors import ConvergenceError
@@ -17,6 +22,7 @@ from dicke_lmg.fullmodel import (build_full, build_rwa_product,
                                  parity_matrix)
 from dicke_lmg.model import ModelParams, ProductBasis, jp_matrix, jz_matrix
 from dicke_lmg.rwa import critical_coupling_1, ground_state
+from dicke_lmg.sweep import SweepSpec, run_sweep
 
 
 def _params(**kw):
@@ -165,6 +171,20 @@ class TestGroundFull:
     def test_convergence_error_when_cap_exceeded(self):
         with pytest.raises(ConvergenceError):
             ground_full(_params(lam=2.0), n_cut_max=4)
+
+    @pytest.mark.parametrize("n_cut_start,solves", [(3000, False), (2048, True)])
+    def test_cap_error_before_a_solve_no_doubling_could_confirm(
+            self, n_cut_start, solves, monkeypatch):
+        # the default cap is 4096: a start above 2048 has no second cutoff
+        class Solved(Exception):
+            pass
+
+        def solve(*args, **kw):
+            raise Solved
+
+        monkeypatch.setattr(fullmodel, "_solve_cutoff", solve)
+        with pytest.raises(Solved if solves else ConvergenceError):
+            ground_full(_params(), n_cut_start=n_cut_start)
 
     def test_sparse_path_matches_dense(self):
         # dimension 4 * (n_cut + 1) exceeds the dense threshold
@@ -371,6 +391,131 @@ class TestWarmStart:
                                        sparse=True)
         with pytest.raises(ConvergenceError, match=f"{layout.index.size}-state block"):
             fullmodel._lowest_pair(block)
+
+
+needs_openblas = pytest.mark.skipif(fullmodel._blas_threads() is None,
+                                    reason="scipy does not link OpenBLAS")
+
+
+@pytest.fixture
+def blas_count():
+    """scipy's OpenBLAS thread count, set to 2 for the test as the caller's
+    choice and restored afterwards."""
+    get, set_ = fullmodel._blas_threads()
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
+
+
+def _thread_spy(monkeypatch, owner, name, get):
+    """Replace owner.name by a stand-in that records the BLAS thread count
+    inside the call."""
+    seen = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+def _blocks():
+    """A dense and a CSR parity block of one N_a = 20 Hamiltonian."""
+    params = _params(lam=0.8, eta=0.7, n_atoms=20)
+    dense = fullmodel._hamiltonian(params, fullmodel._layout(20, 10, 0))
+    csr = fullmodel._hamiltonian(params, fullmodel._layout(20, 40, 0), sparse=True)
+    return dense, csr
+
+
+def _sweep_spec(workers):
+    return SweepSpec(solver="full", omega_f=1.0, delta=0.0, n_atoms=5,
+                     lam_axis=(0.006, 0.6, 5), eta_axis=(0.8, 1.6, 5),
+                     workers=workers)
+
+
+@needs_openblas
+class TestBlasThreads:
+    def test_dense_and_arpack_solves_run_on_one_thread(self, blas_count,
+                                                       monkeypatch):
+        dense_seen = _thread_spy(monkeypatch, scipy.linalg, "eigh", blas_count)
+        arpack_seen = _thread_spy(monkeypatch, scipy.sparse.linalg, "eigsh",
+                                  blas_count)
+        for block in _blocks():
+            fullmodel._lowest_pair(block)
+            assert blas_count() == 2
+        assert (dense_seen, arpack_seen) == ([1], [1])
+
+    def test_caller_count_is_back_after_a_failed_solve(self, blas_count,
+                                                       failing_arpack):
+        with pytest.raises(ConvergenceError):
+            fullmodel._lowest_pair(_blocks()[1])
+        assert blas_count() == 2
+
+    def test_concurrent_pins_share_one_count(self, blas_count):
+        # more threads than cores, switching often: a lost update of the
+        # depth would let one thread restore 2 while another is inside, or
+        # leave 1 behind
+        inside = []
+
+        def pin_repeatedly():
+            for _ in range(200):
+                with fullmodel._one_blas_thread():
+                    inside.append(blas_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_repeatedly) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [1] * 1600
+        assert blas_count() == 2 and fullmodel._blas_depth == 0
+
+    def test_threaded_sweep_leaves_the_callers_count(self, blas_count,
+                                                     monkeypatch):
+        seen = _thread_spy(monkeypatch, scipy.linalg, "eigh", blas_count)
+        records = run_sweep(_sweep_spec(workers=2))
+        assert not any(r.flags for r in records)
+        assert set(seen) == {1}
+        assert blas_count() == 2
+
+    def test_pin_leaves_the_sweep_csv_bytes(self, tmp_path, monkeypatch):
+        pinned, plain = tmp_path / "pinned.csv", tmp_path / "plain.csv"
+        write_csv(run_sweep(_sweep_spec(workers=None)), str(pinned))
+        monkeypatch.setattr(fullmodel, "_one_blas_thread", contextlib.nullcontext)
+        write_csv(run_sweep(_sweep_spec(workers=None)), str(plain))
+        assert pinned.read_bytes() == plain.read_bytes()
+
+
+def _no_symbols(path):
+    """A loaded library without the scipy OpenBLAS thread calls (MKL,
+    Accelerate)."""
+    return object()
+
+
+def _unloadable(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("cdll", [_no_symbols, _unloadable])
+def test_solver_without_openblas_symbols(cdll, monkeypatch):
+    params = _params(lam=0.8, eta=0.7, n_atoms=20)
+    pinned = ground_full(params, use_parity_blocks=True)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert fullmodel._blas_threads.__wrapped__() is None
+    monkeypatch.setattr(fullmodel, "_blas_threads", lambda: None)
+    plain = ground_full(params, use_parity_blocks=True)
+    assert (plain.energy, plain.n_cut_used, plain.parity) == (
+        pinned.energy, pinned.n_cut_used, pinned.parity)
+    assert np.array_equal(plain.state.amplitudes, pinned.state.amplitudes)
 
 
 class TestRwaProduct:

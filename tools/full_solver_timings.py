@@ -7,7 +7,8 @@
 eta = 0.7) three ways, as the median of 9 calls in ms: dense ``eigh``, ARPACK
 from the uniform vector (cold), and ARPACK from the zero-padded ground vector
 of cutoff n_cut // 2 (warm), for blocks of about 120 to 1000 states at
-N_a = 5..40. ``large-n`` times whole ``ground_full`` solves (delta = eta = 0,
+N_a = 5..40. Each call runs with scipy's OpenBLAS on one thread, as the solver
+runs it. ``large-n`` times whole ``ground_full`` solves (delta = eta = 0,
 parity blocks) at N_a 10..80 and reports n_cut_used.
 """
 
@@ -29,7 +30,8 @@ def _median_ms(call, repeats=9):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        call()
+        with fullmodel._one_blas_thread():
+            call()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
 
