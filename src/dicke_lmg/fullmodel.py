@@ -209,7 +209,8 @@ def initial_cutoff(params: ModelParams) -> int:
 @functools.cache
 def _blas_threads():
     """The (get, set) thread-count calls of the OpenBLAS that scipy.linalg
-    links, or None where scipy links another BLAS (MKL, Accelerate)."""
+    links, or None without the scipy_openblas_* symbols of the scipy-openblas
+    wheel builds (a system OpenBLAS, MKL, Accelerate)."""
     try:
         lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
         get = lib.scipy_openblas_get_num_threads
@@ -231,11 +232,11 @@ _blas_saved = 1
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run scipy's OpenBLAS on one thread inside, restoring the caller's count
-    on exit. Its blocks are too small to split: on two cores the second thread
-    contends with numpy's separate OpenBLAS pool, which may still spin from its
-    last call (README). Concurrent callers (the threads of a sweep with
-    workers > 1) share one pin: the first in saves the count, the last out
-    restores it."""
+    on exit. A dense block is too small to split: on two cores a second scipy
+    thread contends with numpy's separate OpenBLAS pool when that pool still
+    spins from a call just before (README). Concurrent callers (the threads of
+    a sweep with workers > 1) share one pin: the first in saves the count, the
+    last out restores it."""
     global _blas_depth, _blas_saved
     calls = _blas_threads()
     if calls is None:
@@ -257,26 +258,27 @@ def _one_blas_thread():
 
 
 def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a dense block by eigh, of a CSR block by ARPACK,
-    either on one BLAS thread. ARPACK starts from ``start`` zero-padded to the
-    block's dimension, or from the uniform vector without one."""
-    with _one_blas_thread():
-        if not scipy.sparse.issparse(matrix):
+    """Lowest eigenpair of a dense block by eigh on one BLAS thread, of a CSR
+    block by ARPACK on the caller's BLAS threads. ARPACK starts from ``start``
+    zero-padded to the block's dimension, or from the uniform vector without
+    one."""
+    if not scipy.sparse.issparse(matrix):
+        with _one_blas_thread():
             vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-            return float(vals[0]), vecs[:, 0]
-        dim = matrix.shape[0]
-        if start is None:
-            v0 = np.full(dim, 1.0 / math.sqrt(dim))
-        else:
-            v0 = np.zeros(dim)
-            v0[:start.size] = start
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
-                                                   maxiter=50 * dim)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"ARPACK did not converge on a {dim}-state block") from exc
         return float(vals[0]), vecs[:, 0]
+    dim = matrix.shape[0]
+    if start is None:
+        v0 = np.full(dim, 1.0 / math.sqrt(dim))
+    else:
+        v0 = np.zeros(dim)
+        v0[:start.size] = start
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
+                                               maxiter=50 * dim)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK did not converge on a {dim}-state block") from exc
+    return float(vals[0]), vecs[:, 0]
 
 
 def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool,

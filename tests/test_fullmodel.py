@@ -438,21 +438,26 @@ def _sweep_spec(workers):
 
 @needs_openblas
 class TestBlasThreads:
-    def test_dense_and_arpack_solves_run_on_one_thread(self, blas_count,
-                                                       monkeypatch):
+    def test_dense_solves_run_on_one_thread_arpack_on_the_callers(
+            self, blas_count, monkeypatch):
         dense_seen = _thread_spy(monkeypatch, scipy.linalg, "eigh", blas_count)
         arpack_seen = _thread_spy(monkeypatch, scipy.sparse.linalg, "eigsh",
                                   blas_count)
         for block in _blocks():
             fullmodel._lowest_pair(block)
             assert blas_count() == 2
-        assert (dense_seen, arpack_seen) == ([1], [1])
+        assert (dense_seen, arpack_seen) == ([1], [2])
 
-    def test_caller_count_is_back_after_a_failed_solve(self, blas_count,
-                                                       failing_arpack):
-        with pytest.raises(ConvergenceError):
-            fullmodel._lowest_pair(_blocks()[1])
-        assert blas_count() == 2
+    def test_caller_count_is_back_after_a_failed_dense_solve(self, blas_count,
+                                                             monkeypatch):
+        def fail(*args, **kwargs):
+            assert blas_count() == 1
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            fullmodel._lowest_pair(_blocks()[0])
+        assert blas_count() == 2 and fullmodel._blas_depth == 0
 
     def test_concurrent_pins_share_one_count(self, blas_count):
         # more threads than cores, switching often: a lost update of the

@@ -7,19 +7,15 @@
 eta = 0.7) three ways, as the median of 9 calls in ms: dense ``eigh``, ARPACK
 from the uniform vector (cold), and ARPACK from the zero-padded ground vector
 of cutoff n_cut // 2 (warm), for blocks of about 120 to 1000 states at
-N_a = 5..40. Each call runs with scipy's OpenBLAS on one thread, as the solver
-runs it. ``large-n`` times whole ``ground_full`` solves (delta = eta = 0,
+N_a = 5..40. Each call goes through ``fullmodel._lowest_pair``, so dense
+``eigh`` runs on one BLAS thread and ARPACK on the caller's, as in the solver.
+``large-n`` times whole ``ground_full`` solves (delta = eta = 0,
 parity blocks) at N_a 10..80 and reports n_cut_used.
 """
 
 import argparse
-import math
 import statistics
 import time
-
-import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from dicke_lmg import fullmodel
 from dicke_lmg.errors import ConvergenceError
@@ -30,15 +26,9 @@ def _median_ms(call, repeats=9):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        with fullmodel._one_blas_thread():
-            call()
+        call()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
-
-
-def _arpack(block, v0):
-    return scipy.sparse.linalg.eigsh(block, k=1, which="SA", v0=v0,
-                                     maxiter=50 * block.shape[0])
 
 
 def crossover():
@@ -53,15 +43,11 @@ def crossover():
                 dense = fullmodel._hamiltonian(params, layout)
                 csr = fullmodel._hamiltonian(params, layout, sparse=True)
                 half = fullmodel._Layout.build(n_atoms, n_cut // 2, 0)
-                _, vec = scipy.linalg.eigh(fullmodel._hamiltonian(params, half),
-                                           subset_by_index=[0, 0])
+                _, warm = fullmodel._lowest_pair(fullmodel._hamiltonian(params, half))
                 dim = layout.index.size
-                warm = np.zeros(dim)
-                warm[:vec.shape[0]] = vec[:, 0]
-                cold = np.full(dim, 1.0 / math.sqrt(dim))
-                times = (_median_ms(lambda: scipy.linalg.eigh(dense, subset_by_index=[0, 0])),
-                         _median_ms(lambda: _arpack(csr, cold)),
-                         _median_ms(lambda: _arpack(csr, warm)))
+                times = (_median_ms(lambda: fullmodel._lowest_pair(dense)),
+                         _median_ms(lambda: fullmodel._lowest_pair(csr)),
+                         _median_ms(lambda: fullmodel._lowest_pair(csr, warm)))
                 print(f"{n_atoms:>3} {lam:>5} {n_cut:>6} {dim:>7}"
                       + "".join(f"{t:>8.2f}" for t in times), flush=True)
 
