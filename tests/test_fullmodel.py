@@ -501,8 +501,8 @@ class TestBlasThreads:
 
 
 def _no_symbols(path):
-    """A loaded library without the scipy OpenBLAS thread calls (MKL,
-    Accelerate)."""
+    """A loaded library without the scipy OpenBLAS thread calls (a system
+    OpenBLAS, MKL, Accelerate)."""
     return object()
 
 
