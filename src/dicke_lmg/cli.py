@@ -200,20 +200,12 @@ def write_json(records, path: str):
 
 
 def cmd_sweep(args) -> int:
-    workers = args.workers
-    threads = os.environ.get("DICKE_LMG_THREADS")
-    if workers is None and threads:
-        try:
-            workers = int(threads)
-        except ValueError:
-            raise UsageError("DICKE_LMG_THREADS must be an integer >= 1, "
-                             f"got {threads!r}") from None
     spec = _usage(
         sweep_mod.SweepSpec,
         solver=args.solver, omega_f=args.wf, delta=_delta(args), n_atoms=args.na,
         lam_axis=(args.lam_min, args.lam_max, args.lam_points),
         eta_axis=(args.eta_min, args.eta_max, args.eta_points),
-        tol=args.tol, workers=workers,
+        tol=args.tol, workers=args.workers,
         use_parity_blocks=args.parity_blocks)
     # a sweep can take hours: refuse an unwritable destination before it starts
     directory = os.path.dirname(args.out) or "."
@@ -252,7 +244,7 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dicke-lmg",
+        prog="dicke-lmg", allow_abbrev=False,
         description="Ground states, critical couplings, and entanglement of "
                     "the extended Dicke (Dicke-LMG) model.")
     parser.add_argument("--config", help="key=value file with flag defaults")
@@ -308,19 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(argv: list[str]) -> list[str]:
-    """Prepend key=value config entries as flags so CLI flags win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
+    """Prepend key=value config entries as flags so CLI flags win. One
+    pre-parse finds the path in either form, --config PATH or --config=PATH;
+    abbreviations are refused here as in the full parser."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        path = argv[i + 1]
-    except IndexError:
+        known, rest = pre.parse_known_args(argv)
+    except argparse.ArgumentError:    # --config without a path: the full
+        return argv                   # parser reports it
+    if known.config is None:
         return argv
     try:
-        with open(path) as fh:
+        with open(known.config) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+        raise UsageError(f"cannot read config file {known.config!r}: "
+                         f"{exc.strerror}") from None
     extra: list[str] = []
     for line in lines:
         line = line.strip()
@@ -329,10 +326,10 @@ def _load_config(argv: list[str]) -> list[str]:
         key, _, value = line.partition("=")
         extra.extend([f"--{key.strip()}", value.strip()])
     # insert defaults right after the subcommand (first positional)
-    for j, token in enumerate(argv):
-        if not token.startswith("-") and j != i + 1:
-            return argv[:j + 1] + extra + argv[j + 1:]
-    return argv + extra
+    for j, token in enumerate(rest):
+        if not token.startswith("-"):
+            return rest[:j + 1] + extra + rest[j + 1:]
+    return rest + extra
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,5 +6,5 @@ class ConvergenceError(RuntimeError):
 
 
 class UnboundedSearchError(RuntimeError):
-    """The excitation-subspace scan exhausted its bound without the stopping
-    rule firing; signals parameters outside the regime covered by the scan."""
+    """The excitation-subspace scan reached its proven cap without the
+    stopping rule firing: a fault in the tail bound, not in the parameters."""

@@ -36,10 +36,12 @@ from .model import (DickeBasis, ModelParams, ProductBasis, PureState, fix_sign,
 
 # a block above this dimension is assembled as CSR and solved by Lanczos
 # (ARPACK), at or below it densely; the choice is made per parity block, by its
-# own dimension. Cold ARPACK overtakes dense eigh at 250-500 states for
-# N_a = 5..40 (README). Every N_a = 5 block with lam <= 0.6 (at most 123
-# states) stays dense
+# own dimension. Cold ARPACK overtakes dense eigh at 350-400 states for
+# N_a = 5 and 10, 300-350 for N_a = 20 and 200-350 for N_a = 40 (README).
+# Every N_a = 5 block with lam <= 0.6 (at most 123 states) stays dense
 _DENSE_LIMIT = 350
+# the largest photon cutoff ground_full may solve
+_N_CUT_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -312,34 +314,34 @@ def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool,
 
 
 def _check_convergence(**values: float) -> None:
-    """The one check of the convergence inputs (tolerance, tail threshold,
-    starting cutoff): each must be > 0, so NaN is rejected too. ground_full,
-    SweepSpec and the CLI's solve call it."""
+    """The one check of the convergence inputs (tolerance, tail threshold):
+    each must be > 0, so NaN is rejected too. ground_full, SweepSpec and the
+    CLI's solve call it."""
     for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 def ground_full(params: ModelParams, tol: float = 1e-8,
-                tail_threshold: float = 1e-10, n_cut_start: int | None = None,
-                n_cut_max: int = 4096,
+                tail_threshold: float = 1e-10,
                 use_parity_blocks: bool = False) -> ConvergedGround:
     """Converged full-model ground state.
 
-    Doubles the photon cutoff from an initial displaced-oscillator guess until
+    Doubles the photon cutoff from :func:`initial_cutoff` until
     the energy change between successive cutoffs is below tol * max(1, |E|)
     and the probability on the top two photon layers is below tail_threshold.
     Each doubling starts ARPACK from the previous cutoff's block vectors.
-    Raises ConvergenceError before any solve when twice the starting cutoff
-    exceeds n_cut_max, since no second solve could confirm the first.
+    Raises ConvergenceError past the cutoff cap _N_CUT_MAX, and before any
+    solve when twice the first cutoff exceeds it, since no second solve could
+    confirm the first.
     """
-    n_cut = n_cut_start if n_cut_start is not None else initial_cutoff(params)
-    _check_convergence(tol=tol, tail_threshold=tail_threshold, n_cut_start=n_cut)
-    if 2 * n_cut > n_cut_max:
-        raise _cap_exceeded(params, n_cut_max)
+    _check_convergence(tol=tol, tail_threshold=tail_threshold)
+    n_cut = initial_cutoff(params)
+    if 2 * n_cut > _N_CUT_MAX:
+        raise _cap_exceeded(params)
     prev_energy, blocks = None, None
     na = params.n_atoms
-    while n_cut <= n_cut_max:
+    while n_cut <= _N_CUT_MAX:
         energy, vec, parity, gap, blocks = _solve_cutoff(
             params, n_cut, use_parity_blocks, starts=blocks)
         tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
@@ -352,10 +354,10 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
                                    tail_mass=tail, parity=parity, parity_gap=gap)
         prev_energy = energy
         n_cut *= 2
-    raise _cap_exceeded(params, n_cut_max)
+    raise _cap_exceeded(params)
 
 
-def _cap_exceeded(params: ModelParams, n_cut_max: int) -> ConvergenceError:
+def _cap_exceeded(params: ModelParams) -> ConvergenceError:
     return ConvergenceError(
-        f"photon cutoff cap {n_cut_max} exceeded (lam = {params.lam}); "
+        f"photon cutoff cap {_N_CUT_MAX} exceeded (lam = {params.lam}); "
         "deep superradiant regime beyond desk scale")

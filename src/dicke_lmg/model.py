@@ -15,9 +15,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_count(value) -> bool:
+    """An int or numpy integer, not a bool or an integral float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,8 @@ class ModelParams:
             raise ValueError("omega_f must be > 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        if not is_count(self.n_atoms) or self.n_atoms < 1:
+            raise ValueError(f"n_atoms must be an integer >= 1, got {self.n_atoms!r}")
 
     @property
     def omega(self) -> float:
@@ -181,9 +187,10 @@ class PureState:
         return self.overlap(other) ** 2
 
 
-def fix_sign(vec: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Flip a vector's global sign so its first nonzero component is positive."""
-    threshold = tol if tol > 0 else 1e-12 * max(1.0, float(np.abs(vec).max()))
+def fix_sign(vec: np.ndarray) -> np.ndarray:
+    """Flip a vector's global sign so its first component above 1e-12 of the
+    largest (or of 1) is positive."""
+    threshold = 1e-12 * max(1.0, float(np.abs(vec).max()))
     for v in vec:
         if abs(v) > threshold:
             return vec if v > 0 else -vec

@@ -43,26 +43,6 @@ class TridiagMatrix:
 
 
 @dataclass(frozen=True)
-class SearchPolicy:
-    """Controls the subspace scan in :func:`ground_state`.
-
-    n_max   : highest subspace the scan may solve; None derives it from the
-              tail bound (:meth:`_TailBound.default_n_max`), so the scan
-              always stops
-    tie_tol : relative degeneracy window for the at-transition flag, in [0, 1e-3]
-    """
-
-    n_max: int | None = None
-    tie_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_max is not None and self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        if not 0.0 <= self.tie_tol <= 1e-3:
-            raise ValueError("tie_tol must lie in [0, 1e-3]")
-
-
-@dataclass(frozen=True)
 class GroundStateResult:
     energy: float
     state: PureState
@@ -70,11 +50,16 @@ class GroundStateResult:
     at_transition: bool = False
 
 
+# _TIE_TOL is the relative degeneracy window of the sequential tie rule and
+# the at-transition flag; the guard and the proven cap need it <= 1e-3.
 # Batched energies within _GUARD tie windows plus _ROUNDING (relative) of the
 # lowest are re-solved exactly; _STACK_FLOATS caps one padded eigvalsh stack.
+# transition_ladder bisects a crossing to _BISECT_TOL (relative).
+_TIE_TOL = 1e-10
 _GUARD = 100.0
 _ROUNDING = 1e-12
 _STACK_FLOATS = 1 << 14
+_BISECT_TOL = 1e-12
 
 
 def _energy_offset(params: ModelParams, n):
@@ -170,32 +155,32 @@ class _TailBound:
         return (_energy_offset(self.params, n) + self.d_min
                 - lams * (na + 1) * np.sqrt(n / na))
 
-    def guard(self, best, tie_tol: float) -> np.ndarray:
+    def guard(self, best) -> np.ndarray:
         """Window above the lowest batched energy ``best`` that holds every
         block the sequential tie rule could pick or flag, rounding of the
         batched solve included."""
-        return (_GUARD * tie_tol + _ROUNDING) * (np.maximum(1.0, np.abs(best)) + self.d_abs)
+        return (_GUARD * _TIE_TOL + _ROUNDING) * (np.maximum(1.0, np.abs(best)) + self.d_abs)
 
-    def certifies(self, n: int, lams: np.ndarray, best: np.ndarray,
-                  tie_tol: float) -> np.ndarray:
+    def certifies(self, n: int, lams: np.ndarray, best: np.ndarray) -> np.ndarray:
         """Whether no H^(n'), n' >= n, lies within the guard of ``best``:
         n >= n_mono and L(n) > best + guard."""
         p = self.params
         n_mono = (lams * (p.n_atoms + 1) / (2.0 * p.omega_f)) ** 2 / p.n_atoms
-        return (n >= n_mono) & (self.lower(n, lams) > best + self.guard(best, tie_tol))
+        return (n >= n_mono) & (self.lower(n, lams) > best + self.guard(best))
 
-    def default_n_max(self, lams, tie_tol: float) -> int:
-        """A subspace index by which the scan of every coupling is certified.
+    def default_n_max(self, lams) -> int:
+        """A subspace index by which the scan of every coupling is certified,
+        the scan's only cap.
 
         The vacuum energy e_vac is at least the ground energy, and
-        E + guard(E) is increasing in E for tie_tol <= 1e-3, so
+        E + guard(E) is increasing in E for _TIE_TOL <= 1e-3, so
         L(n + 1) > T = e_vac + guard(e_vac) certifies any scan. L(x) = T
         solves as sqrt(x) = (c + sqrt(c^2 + 4 omega_f (T + omega_f N_a/2 -
         d_min))) / (2 omega_f) with c = lam (N_a+1) / sqrt(N_a), a root past
         n_mono.
         """
         na, wf = self.params.n_atoms, self.params.omega_f
-        target = self.e_vac + self.guard(self.e_vac, tie_tol)
+        target = self.e_vac + self.guard(self.e_vac)
         c = lams * (na + 1) / math.sqrt(na)
         root = (c + np.sqrt(c * c + 4.0 * wf * (target + wf * na / 2.0 - self.d_min))) / (2.0 * wf)
         return int(np.ceil(np.max(root * root, initial=0.0))) + 1
@@ -227,7 +212,7 @@ def _lowest(params: ModelParams, ns: np.ndarray, lams: np.ndarray) -> np.ndarray
     return _energy_offset(params, ns) + lowest
 
 
-def _scan(params: ModelParams, lams, search: SearchPolicy) -> list[np.ndarray]:
+def _scan(params: ModelParams, lams) -> list[np.ndarray]:
     """Candidate ground subspaces at each coupling in ``lams``.
 
     Solves blocks n = 0..n_hi of every coupling in one batch (:func:`_lowest`),
@@ -237,12 +222,13 @@ def _scan(params: ModelParams, lams, search: SearchPolicy) -> list[np.ndarray]:
     Returns, per coupling, the ascending indices whose batched energy lies
     within the guard of the lowest.
 
-    Raises UnboundedSearchError if a coupling is not certified by n_max.
+    Raises UnboundedSearchError if a coupling is not certified by the proven
+    cap :meth:`_TailBound.default_n_max`, which only a fault in the bound can
+    cause.
     """
     lams = np.asarray(lams, dtype=float)
     tail = _TailBound.of(params)
-    n_cap = (search.n_max if search.n_max is not None
-             else tail.default_n_max(lams, search.tie_tol))
+    n_cap = tail.default_n_max(lams)
     energies = np.full((lams.size, 0), np.inf)
     todo = np.arange(lams.size)
     n_hi = min(2 * params.n_atoms + 4, n_cap)
@@ -250,23 +236,22 @@ def _scan(params: ModelParams, lams, search: SearchPolicy) -> list[np.ndarray]:
         n_lo = energies.shape[1]
         energies = np.hstack([energies, np.full((lams.size, n_hi + 1 - n_lo), np.inf)])
         energies[todo, n_lo:] = _lowest(params, np.arange(n_lo, n_hi + 1), lams[todo])
-        certified = tail.certifies(n_hi + 1, lams[todo], energies[todo].min(axis=1),
-                                   search.tie_tol)
+        certified = tail.certifies(n_hi + 1, lams[todo], energies[todo].min(axis=1))
         todo = todo[~certified]
         if not todo.size:
             break
         if n_hi >= n_cap:
             raise UnboundedSearchError(
-                f"subspace scan hit n_max = {n_cap} without satisfying the "
-                f"stopping rule (lam = {lams[todo[0]]}, omega_f = {params.omega_f})")
+                f"subspace scan hit its proven cap n = {n_cap} without satisfying "
+                f"the stopping rule (lam = {lams[todo[0]]}, omega_f = {params.omega_f})")
         n_hi = min(2 * n_hi + 1, n_cap)
     best = energies.min(axis=1)
-    window = best + tail.guard(best, search.tie_tol)
+    window = best + tail.guard(best)
     return [np.flatnonzero(row <= top) for row, top in zip(energies, window)]
 
 
-def _decide(params: ModelParams, candidates: np.ndarray,
-            tie_tol: float) -> tuple[int, float, np.ndarray, bool]:
+def _decide(params: ModelParams,
+            candidates: np.ndarray) -> tuple[int, float, np.ndarray, bool]:
     """Re-solve the candidate subspaces exactly and apply the sequential
     rule: ascending n, a block wins only if it lies more than the tie window
     below the best so far, and a block inside the window flags a transition.
@@ -276,7 +261,7 @@ def _decide(params: ModelParams, candidates: np.ndarray,
     at_transition = False
     for n in candidates.tolist():
         energy, vec = tridiag_ground(build_subspace(params, n))
-        tol = tie_tol * max(1.0, abs(best_energy)) if best else 0.0
+        tol = _TIE_TOL * max(1.0, abs(best_energy)) if best else 0.0
         if energy < best_energy - tol:
             best_energy, best, at_transition = energy, (n, vec), False
         elif energy < best_energy + tol and best is not None:
@@ -285,16 +270,14 @@ def _decide(params: ModelParams, candidates: np.ndarray,
     return n, best_energy, vec, at_transition
 
 
-def ground_state(params: ModelParams, search: SearchPolicy | None = None) -> GroundStateResult:
+def ground_state(params: ModelParams) -> GroundStateResult:
     """Global RWA ground state over all excitation subspaces.
 
     A batched scan (:func:`_scan`) finds the subspaces that can win; only
     those are re-solved with :func:`tridiag_ground`. Ties between subspaces
     are broken toward smaller n and flagged as sitting at a transition.
     """
-    search = search or SearchPolicy()
-    n, energy, vec, at_transition = _decide(
-        params, _scan(params, [params.lam], search)[0], search.tie_tol)
+    n, energy, vec, at_transition = _decide(params, _scan(params, [params.lam])[0])
     return GroundStateResult(energy=energy, state=_subspace_state(params.n_atoms, n, vec),
                              subspace_index=n, at_transition=at_transition)
 
@@ -351,8 +334,7 @@ def _check_ladder(lam_range: tuple[float, float], scan_points: int) -> None:
 
 
 def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
-                      scan_points: int = 400,
-                      bisect_tol: float = 1e-12) -> list[tuple[float, int, int]]:
+                      scan_points: int = 400) -> list[tuple[float, int, int]]:
     """Locate first-order transitions (ground-subspace changes) in a lam range.
 
     Scans the range on a uniform grid in one batched scan, giving each grid
@@ -363,10 +345,8 @@ def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
     """
     _check_ladder(lam_range, scan_points)
     grid = np.linspace(*lam_range, scan_points)
-    search = SearchPolicy()
-    indices = [int(c[0]) if c.size == 1
-               else _decide(params.replace(lam=float(l)), c, search.tie_tol)[0]
-               for l, c in zip(grid, _scan(params, grid, search))]
+    indices = [int(c[0]) if c.size == 1 else _decide(params.replace(lam=float(l)), c)[0]
+               for l, c in zip(grid, _scan(params, grid))]
 
     crossings = []
     for i in range(len(grid) - 1):
@@ -380,7 +360,7 @@ def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
             return subspace_energy(p, n1) - subspace_energy(p, n2)
 
         fa = gap(a)
-        while b - a > bisect_tol * max(1.0, b):
+        while b - a > _BISECT_TOL * max(1.0, b):
             mid = 0.5 * (a + b)
             if gap(mid) * fa > 0:
                 a = mid

@@ -16,7 +16,10 @@ import numpy as np
 
 from . import fullmodel, rwa
 from .entanglement import cw_of_ground, entropy_of_ground
-from .model import ModelParams, PureState
+from .model import ModelParams, PureState, is_count
+
+# a full-model neighbour fidelity below this marks a phase boundary
+_FIDELITY_JUMP = 0.5
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,13 @@ class SweepSpec:
     tail_threshold: float = 1e-10
     workers: int | None = None
     use_parity_blocks: bool = True   # full solver only
-    fidelity_threshold: float = 0.5  # full-model boundary detection
 
     def __post_init__(self):
         if self.solver not in ("rwa", "full"):
             raise ValueError("solver must be 'rwa' or 'full'")
         for name, (lo, hi, count) in (("lam", self.lam_axis), ("eta", self.eta_axis)):
-            if count < 2:
-                raise ValueError(f"{name} axis needs at least 2 points")
+            if not is_count(count) or count < 2:
+                raise ValueError(f"{name} axis needs an integer count >= 2, got {count!r}")
             if not lo < hi:
                 raise ValueError(f"{name} axis min must be < max")
         # every grid point lies between the low and the high corner, so if
@@ -156,7 +158,7 @@ def _changed(spec: SweepSpec, a: GridRecord, b: GridRecord) -> tuple[bool, float
     if a.state is None or b.state is None:
         return False, float("nan"), float("nan")
     fid = a.state.fidelity(b.state)
-    return fid < spec.fidelity_threshold, fid, fid
+    return fid < _FIDELITY_JUMP, fid, fid
 
 
 def boundary_trace(records: list[GridRecord], spec: SweepSpec) -> list[BoundarySegment]:

@@ -215,15 +215,6 @@ class TestSweepCommand:
         assert main(args + ["--workers", "4", "--out", out_b]) == 0
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
-    def test_threads_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DICKE_LMG_THREADS", "2")
-        out = str(tmp_path / "env.csv")
-        assert main(["sweep", "--na", "2", "--delta", "0",
-                     "--lambda-points", "3", "--lambda-min", "0.1",
-                     "--lambda-max", "0.3", "--eta-points", "2",
-                     "--eta-min", "0", "--eta-max", "0.1",
-                     "--out", out]) == 0
-
     _SMALL = ["sweep", "--na", "2", "--delta", "0", "--lambda-points", "2",
               "--eta-points", "2"]
 
@@ -265,25 +256,21 @@ class TestSweepCommand:
         assert "does not exist" in capsys.readouterr().err
         assert not (tmp_path / "missing_dir").exists()
 
-    def test_non_integer_threads_env_var_is_usage_error(self, tmp_path,
-                                                        monkeypatch, capsys):
-        monkeypatch.setenv("DICKE_LMG_THREADS", "abc")
-        out = tmp_path / "t.csv"
-        assert main(self._SMALL + ["--out", str(out)]) == 2
-        assert "DICKE_LMG_THREADS" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("na=5\ndelta=0\nlambda=0.5\n")
-        assert main(["--config", str(cfg), "solve"]) == 0
-        report_a = capsys.readouterr().out
-        assert main(["--config", str(cfg), "solve", "--lambda", "1.2"]) == 0
-        report_b = capsys.readouterr().out
-        assert report_a != report_b
-        assert "subspace_index: 0" in report_a
+        for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+            assert main(config + ["solve"]) == 0
+            report_a = capsys.readouterr().out
+            assert main(config + ["solve", "--lambda", "1.2"]) == 0
+            report_b = capsys.readouterr().out
+            assert report_a != report_b
+            assert "subspace_index: 0" in report_a
+        # an abbreviation would be taken as --config without the file applied
+        assert main([f"--conf={cfg}", "solve", "--na", "3", "--delta", "0",
+                     "--lambda", "0.5"]) == 2
 
     def test_comments_and_blank_lines_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -292,12 +279,13 @@ class TestConfigFile:
 
     def test_missing_config_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "missing.cfg"
-        assert main(["--config", str(cfg), "solve", "--na", "3", "--delta", "0",
-                     "--lambda", "0.5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage error: cannot read config file")
-        assert str(cfg) in captured.err and captured.err.count("\n") == 1
+        for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+            assert main(config + ["solve", "--na", "3", "--delta", "0",
+                                  "--lambda", "0.5"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error: cannot read config file")
+            assert str(cfg) in captured.err and captured.err.count("\n") == 1
 
 
 class TestCheckCommand:

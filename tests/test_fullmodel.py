@@ -119,7 +119,7 @@ class TestGroundFull:
 
     def test_zero_coupling_ground(self):
         params = _params(lam=0.0, eta=0.0, n_atoms=4)
-        result = ground_full(params, n_cut_start=2)
+        result = ground_full(params)
         assert result.energy == pytest.approx(-2.0, abs=1e-12)
 
     def test_parity_blocks_agree_with_plain_solver(self):
@@ -153,8 +153,6 @@ class TestGroundFull:
         assert initial_cutoff(_params(lam=3.0)) > initial_cutoff(_params(lam=0.5))
 
     @pytest.mark.parametrize("kwargs", [
-        dict(n_cut_start=0),           # the cutoff would double 0 -> 0 forever
-        dict(n_cut_start=-3),
         dict(tol=math.nan),
         dict(tail_threshold=0.0),
         dict(tail_threshold=math.nan),
@@ -168,14 +166,15 @@ class TestGroundFull:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ground_full(_params(), **kwargs)
 
-    def test_convergence_error_when_cap_exceeded(self):
-        with pytest.raises(ConvergenceError):
-            ground_full(_params(lam=2.0), n_cut_max=4)
+    def test_convergence_error_when_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(fullmodel, "_N_CUT_MAX", 4)
+        with pytest.raises(ConvergenceError, match="cap 4 exceeded"):
+            ground_full(_params(lam=2.0))
 
     @pytest.mark.parametrize("n_cut_start,solves", [(3000, False), (2048, True)])
     def test_cap_error_before_a_solve_no_doubling_could_confirm(
             self, n_cut_start, solves, monkeypatch):
-        # the default cap is 4096: a start above 2048 has no second cutoff
+        # the cap is 4096: a first cutoff above 2048 has no second cutoff
         class Solved(Exception):
             pass
 
@@ -183,8 +182,9 @@ class TestGroundFull:
             raise Solved
 
         monkeypatch.setattr(fullmodel, "_solve_cutoff", solve)
+        monkeypatch.setattr(fullmodel, "initial_cutoff", lambda params: n_cut_start)
         with pytest.raises(Solved if solves else ConvergenceError):
-            ground_full(_params(), n_cut_start=n_cut_start)
+            ground_full(_params())
 
     def test_sparse_path_matches_dense(self):
         # dimension 4 * (n_cut + 1) exceeds the dense threshold

@@ -24,10 +24,19 @@ def test_params_consistency():
     dict(omega_f=1.0, delta=math.nan, eta=0, lam=0, n_atoms=2),
     dict(omega_f=1.0, delta=0, eta=-math.inf, lam=0, n_atoms=2),
     dict(omega_f=1.0, delta=0, eta=0, lam=math.nan, n_atoms=2),
+    # a qubit count must be an integer, not an integral float or a bool
+    dict(omega_f=1.0, delta=0, eta=0, lam=0, n_atoms=2.5),
+    dict(omega_f=1.0, delta=0, eta=0, lam=0, n_atoms=3.0),
+    dict(omega_f=1.0, delta=0, eta=0, lam=0, n_atoms=True),
 ])
 def test_params_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+def test_params_accepts_numpy_integer_count():
+    assert ModelParams(omega_f=1.0, delta=0, eta=0, lam=0,
+                       n_atoms=np.int64(3)).n_atoms == 3
 
 
 def test_dicke_basis_labels():

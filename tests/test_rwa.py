@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dicke_lmg import rwa
 from dicke_lmg.checks import sturm_lowest_eigenvalue
 from dicke_lmg.errors import UnboundedSearchError
 from dicke_lmg.model import ModelParams
-from dicke_lmg.rwa import (SearchPolicy, _subspace_state, _TailBound,
-                           amplitude_h, build_subspace, critical_coupling_1,
+from dicke_lmg.rwa import (_subspace_state, _TailBound, amplitude_h,
+                           build_subspace, critical_coupling_1,
                            first_nonvacuum_state, ground_state, subspace_energy,
                            transition_ladder, tridiag_ground)
 
@@ -117,23 +118,22 @@ class TestGroundState:
         assert result.energy == pytest.approx((best_m + 2.0) * 1.0 - 2.0
                                               + energies[best_m], abs=1e-12)
 
-    def test_at_transition_flag_on_degeneracy(self):
+    def test_at_transition_flag_on_degeneracy(self, monkeypatch):
+        monkeypatch.setattr(rwa, "_TIE_TOL", 1e-9)
         params = _params(n_atoms=2)
         lam_c = critical_coupling_1(params)
-        result = ground_state(params.replace(lam=lam_c),
-                              SearchPolicy(tie_tol=1e-9))
+        result = ground_state(params.replace(lam=lam_c))
         assert result.at_transition
         assert result.subspace_index == 0   # ties break toward smaller n
+        # subspace 1 lies 5e-10 lower here: inside the window, so still a tie
+        near = ground_state(params.replace(lam=lam_c * (1 + 5e-10)))
+        assert near.at_transition and near.subspace_index == 0
 
-    def test_unbounded_search_raises(self):
+    def test_unbounded_search_raises(self, monkeypatch):
+        # the proven cap always certifies the scan; a cap of 3 cannot
+        monkeypatch.setattr(_TailBound, "default_n_max", lambda self, lams: 3)
         with pytest.raises(UnboundedSearchError):
-            ground_state(_params(lam=3.0), SearchPolicy(n_max=3))
-
-    def test_search_policy_rejects_invalid(self):
-        for bad in (dict(n_max=-1), dict(tie_tol=-1e-12), dict(tie_tol=0.01),
-                    dict(tie_tol=math.nan)):
-            with pytest.raises(ValueError):
-                SearchPolicy(**bad)
+            ground_state(_params(lam=3.0))
 
 
 class TestCriticalCoupling:
@@ -272,7 +272,7 @@ class TestTailBound:
             # certification needs n past n_mono
             below = math.ceil(n_mono) - 1
             if below >= 0:
-                assert not tail.certifies(below, lam, np.array([-1e12]), 0.0)[0]
+                assert not tail.certifies(below, lam, np.array([-1e12]))[0]
 
     def test_default_n_max_certifies_against_the_vacuum(self):
         rng = np.random.default_rng(5)
@@ -281,21 +281,22 @@ class TestTailBound:
             lam = np.array([params.lam])
             tail = _TailBound.of(params)
             assert tail.e_vac == subspace_energy(params, 0)
-            n_max = tail.default_n_max(lam, 1e-10)
-            assert tail.certifies(n_max + 1, lam, np.array([tail.e_vac]), 1e-10)[0]
+            n_max = tail.default_n_max(lam)
+            assert tail.certifies(n_max + 1, lam, np.array([tail.e_vac]))[0]
 
 
-def _sequential_scan(params, search=SearchPolicy()):
+def _sequential_scan(params):
     """The one-block-at-a-time scan with the Gershgorin radius
-    2 lam sqrt(n (N_a+1)) that the batched engine replaced, kept as an oracle."""
+    2 lam sqrt(n (N_a+1)) that the batched engine replaced, kept as an oracle.
+    It reads the tie window rwa._TIE_TOL when called."""
     na = params.n_atoms
-    n_max = search.n_max if search.n_max is not None else 10 * na + 100
+    n_max = 10 * na + 100
     n_monotone = params.lam ** 2 * (na + 1) / params.omega_f ** 2
     d_max = (na / 2.0) * (abs(params.delta) + abs(params.eta) / 2.0)
     best_energy, best, at_transition = math.inf, None, False
     for n in range(n_max + 1):
         energy, vec = tridiag_ground(build_subspace(params, n))
-        tol = search.tie_tol * max(1.0, abs(best_energy)) if best else 0.0
+        tol = rwa._TIE_TOL * max(1.0, abs(best_energy)) if best else 0.0
         if energy < best_energy - tol:
             best_energy, best, at_transition = energy, (n, vec), False
         elif energy < best_energy + tol and best is not None:
@@ -335,9 +336,9 @@ def _sequential_ladder(params, lam_range, scan_points=400, bisect_tol=1e-12):
 
 
 class TestBatchedScanMatchesSequentialRule:
-    def _assert_same(self, params, search):
-        energy, n, vec, at_transition = _sequential_scan(params, search)
-        result = ground_state(params, search)
+    def _assert_same(self, params):
+        energy, n, vec, at_transition = _sequential_scan(params)
+        result = ground_state(params)
         assert result.subspace_index == n
         assert result.at_transition == at_transition
         assert result.energy == energy   # same bits
@@ -350,17 +351,26 @@ class TestBatchedScanMatchesSequentialRule:
             params = ModelParams(omega_f=1.0, delta=rng.uniform(-0.5, 0.5),
                                  eta=rng.uniform(-1.0, 3.0), lam=rng.uniform(0.0, 2.0),
                                  n_atoms=int(rng.integers(1, 9)))
-            self._assert_same(params, SearchPolicy())
+            self._assert_same(params)
 
-    def test_ties_at_the_first_critical_coupling(self):
-        flagged = 0
-        for na in (1, 2, 3, 5, 8):
-            for eta in (0.0, 0.25, 0.5):
-                params = _params(eta=eta, n_atoms=na)
-                params = params.replace(lam=critical_coupling_1(params))
-                self._assert_same(params, SearchPolicy(tie_tol=1e-9))
-                flagged += ground_state(params, SearchPolicy(tie_tol=1e-9)).at_transition
-        assert flagged >= 10
+    def test_ties_at_the_first_critical_coupling(self, monkeypatch):
+        # just past lam_c subspace 1 lies 0.2-0.8 windows below subspace 0:
+        # a tie for the patched window, not for the default 1e-10, and for
+        # 1e-6 also farther than the default window's guard reaches
+        for tie_tol in (1e-9, 1e-6):
+            monkeypatch.setattr(rwa, "_TIE_TOL", tie_tol)
+            flagged = 0
+            for na in (1, 2, 3, 5, 8):
+                for eta in (0.0, 0.25, 0.5):
+                    params = _params(eta=eta, n_atoms=na)
+                    lam_c = critical_coupling_1(params)
+                    params = params.replace(lam=lam_c)
+                    self._assert_same(params)
+                    flagged += ground_state(params).at_transition
+                    near = params.replace(lam=lam_c * (1 + 0.8 * tie_tol))
+                    self._assert_same(near)
+                    assert ground_state(near).at_transition
+            assert flagged >= 10
 
     def test_ladder_matches_sequential_scan_and_bisection(self):
         for na, eta, window in ((2, 0.5, (0.5, 1.1)), (3, 0.0, (0.5, 2.5)),

@@ -40,10 +40,20 @@ class TestSweepSpec:
         dict(solver="full", tol=0.0),
         dict(solver="full", tol=float("nan")),
         dict(solver="full", tail_threshold=0.0),
+        # counts must be integers, not integral floats or bools
+        dict(n_atoms=3.0),
+        dict(n_atoms=True),
+        dict(lam_axis=(0.1, 1.5, 3.0)),
+        dict(eta_axis=(0.0, 0.5, 2.5)),
+        dict(eta_axis=(0.0, 0.5, True)),
     ])
     def test_rejects_invalid_point_or_tolerance_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             _spec(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = _spec(n_atoms=np.int64(3), lam_axis=(0.1, 1.5, np.int64(4)))
+        assert spec.lam_values.size == 4
 
 
 class TestRunSweep:
