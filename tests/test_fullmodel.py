@@ -153,6 +153,8 @@ class TestGroundFull:
         assert initial_cutoff(_params(lam=3.0)) > initial_cutoff(_params(lam=0.5))
 
     @pytest.mark.parametrize("kwargs", [
+        dict(tol=0.0),                 # no energy change is below a zero tolerance
+        dict(tol=-1e-8),
         dict(tol=math.nan),
         dict(tail_threshold=0.0),
         dict(tail_threshold=math.nan),
