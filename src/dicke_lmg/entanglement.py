@@ -61,6 +61,18 @@ def _pair_amplitudes(n_atoms: int) -> np.ndarray:
     return c
 
 
+@functools.cache
+def _pair_terms(n_atoms: int) -> tuple[np.ndarray, ...]:
+    """Index table (q, q', p, p') of the terms of the pair reduction, p' =
+    p + q' - q within 0..N_a, ordered by q, then q', then p. Cached per N_a,
+    so the arrays are read-only."""
+    terms = np.array([(q, qq, p, p + qq - q)
+                      for q in range(3) for qq in range(3)
+                      for p in range(n_atoms + 1) if 0 <= p + qq - q <= n_atoms]).T
+    terms.flags.writeable = False
+    return tuple(terms)
+
+
 def reduce_to_two_qubits(rho_a: np.ndarray, n_atoms: int) -> np.ndarray:
     """Reduced two-qubit state of a symmetric-ensemble density matrix.
 
@@ -74,15 +86,12 @@ def reduce_to_two_qubits(rho_a: np.ndarray, n_atoms: int) -> np.ndarray:
     if rho_a.shape != (n_atoms + 1, n_atoms + 1):
         raise ValueError("rho_a must be (N_a+1) x (N_a+1) on the Dicke basis")
     c = _pair_amplitudes(n_atoms)
-    # rho3[q, q'] = sum_{p, p'} rho[p, p'] c[p, q] c[p', q'] delta_{p-q, p'-q'}
+    q, qq, p, pp = _pair_terms(n_atoms)
+    # rho3[q, q'] = sum_{p, p'} rho[p, p'] c[p, q] c[p', q'] delta_{p-q, p'-q'};
+    # ufunc.at adds the terms one by one in table order, so the sum is
+    # reproducible bit for bit
     rho3 = np.zeros((3, 3), dtype=rho_a.dtype)
-    for q in range(3):
-        for qq in range(3):
-            shift = qq - q
-            for p in range(n_atoms + 1):
-                pp = p + shift
-                if 0 <= pp <= n_atoms:
-                    rho3[q, qq] += rho_a[p, pp] * c[p, q] * c[pp, qq]
+    np.add.at(rho3, (q, qq), rho_a[p, pp] * c[p, q] * c[pp, qq])
     # expand the symmetric triplet {|00>, (|01>+|10>)/sqrt2, |11>} to 4x4
     embed = np.zeros((4, 3))
     embed[0, 0] = 1.0

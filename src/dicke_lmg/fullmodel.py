@@ -266,7 +266,8 @@ def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.nda
     one."""
     if not scipy.sparse.issparse(matrix):
         with _one_blas_thread():
-            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0],
+                                           overwrite_a=True)
         return float(vals[0]), vecs[:, 0]
     dim = matrix.shape[0]
     if start is None:
@@ -283,34 +284,91 @@ def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.nda
     return float(vals[0]), vecs[:, 0]
 
 
+def _largest_block(n_atoms: int, n_cut: int, use_parity_blocks: bool) -> int:
+    """States in the largest block at cutoff n_cut: the whole basis, or its
+    even sector, which holds the odd state out when the basis is odd."""
+    states = (n_cut + 1) * (n_atoms + 1)
+    return (states + 1) // 2 if use_parity_blocks else states
+
+
 def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool,
-                  starts: dict | None = None):
-    """Lowest eigenpair at fixed cutoff; returns (energy, full vector, parity,
-    parity_gap, block vectors). Each block is assembled directly and solved
-    densely up to _DENSE_LIMIT states, by ARPACK above. The block vectors map
-    each sector (0 and 1, or None without parity blocks) to its ground vector;
-    passed back in as ``starts`` at a larger cutoff, they start ARPACK there,
-    since a sector's states at this cutoff are a prefix of its states at any
-    larger one."""
-    dim = (n_cut + 1) * (params.n_atoms + 1)
+                  starts: dict | None = None) -> dict:
+    """Lowest eigenpair of each block at fixed cutoff: maps each sector (0 and
+    1, or None without parity blocks) to (energy, block vector). Each block is
+    assembled directly and solved densely up to _DENSE_LIMIT states, by ARPACK
+    above. Passed back in as ``starts`` at a larger cutoff, the block vectors
+    start ARPACK there, since a sector's states at this cutoff are a prefix of
+    its states at any larger one."""
     starts = starts or {}
-    results, blocks = {}, {}
+    solved = {}
     for sector in ((0, 1) if use_parity_blocks else (None,)):
         layout = _layout(params.n_atoms, n_cut, sector)
         block = _hamiltonian(params, layout, sparse=layout.index.size > _DENSE_LIMIT)
-        energy, blocks[sector] = _lowest_pair(block, starts.get(sector))
-        vec = np.zeros(dim)
-        vec[layout.index] = blocks[sector]
-        results[sector] = (energy, vec)
-    if not use_parity_blocks:
-        energy, vec = results[None]
-        return energy, vec, None, None, blocks
-    (even, even_vec), (odd, odd_vec) = results[0], results[1]
+        start = starts[sector][1] if sector in starts else None
+        solved[sector] = _lowest_pair(block, start)
+    return solved
+
+
+def _even_wins(even: float, odd: float) -> bool:
+    """Degenerate doublets resolve to the even-parity member. True on a box
+    of (even, odd) values if true at its corner (largest even, smallest odd)."""
+    return even <= odd + 1e-10 * max(1.0, abs(even))
+
+
+def _ground_sector(solved: dict) -> tuple[int | None, int | None, float | None]:
+    """(sector, parity, parity gap) of the ground block of a solved cutoff;
+    parity and gap are None without parity blocks."""
+    if None in solved:
+        return None, None, None
+    even, odd = solved[0][0], solved[1][0]
     gap = abs(even - odd)
-    # degenerate doublets resolve to the even-parity member
-    if even <= odd + 1e-10 * max(1.0, abs(even)):
-        return even, even_vec, +1, gap, blocks
-    return odd, odd_vec, -1, gap, blocks
+    return (0, +1, gap) if _even_wins(even, odd) else (1, -1, gap)
+
+
+def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
+    """(beta, allowance) for each block solved at 2 n_cut: the energy
+    ground_full computes for that block at n_cut lies in [E - allowance,
+    E + max(beta, 0) + allowance], E its energy at 2 n_cut (README).
+
+    By interlacing and the variational principle, E(2 n_cut) <= E(n_cut) <=
+    <phi|H|phi> / <phi|phi>, phi the photon layers 0..n_cut of the 2 n_cut
+    ground vector v = phi + chi. As (H - E) v = 0, beta = <phi|H - E|phi> /
+    <phi|phi> = -<phi|H|chi> / <phi|phi>, the coupling between layers n_cut
+    and n_cut + 1. The allowance is four times the backward error of dense
+    eigh, dim eps ||H||, divided by <phi|phi>: it covers both eigenvalues, the
+    residual of v and beta's arithmetic."""
+    na, big = params.n_atoms, 2 * n_cut
+    norm = (params.omega_f * big + abs(params.omega) * na / 2
+            + abs(params.eta) * na / 4 + 2.0 * params.lam * math.sqrt(big * na))
+    bounds = {}
+    for sector, (_, vec) in solved.items():
+        layout = _layout(na, big, sector)
+        phi = vec[:np.searchsorted(layout.k, n_cut, side="right")]
+        weight = phi @ phi
+        top = layout.k[layout.rows] == n_cut
+        coupling = np.sum(layout.weights[top] * vec[layout.rows[top]]
+                          * vec[layout.cols[top]])
+        beta = -params.lam / math.sqrt(na) * coupling / weight
+        rounding = 4 * layout.index.size * np.finfo(float).eps * norm
+        bounds[sector] = (float(beta), rounding / weight)
+    return bounds
+
+
+def _certifies(params: ModelParams, n_cut: int, solved: dict, tol: float) -> bool:
+    """Whether the blocks solved at 2 n_cut show, without solving n_cut, that
+    ground_full's energy test between n_cut and 2 n_cut passes: the energy
+    change is below tol * max(1, |E|), and no energy within the bounds moves
+    the parity choice at n_cut off the one at 2 n_cut."""
+    bounds = _truncation_bounds(params, n_cut, solved)
+    low = {s: solved[s][0] - allowance for s, (_, allowance) in bounds.items()}
+    high = {s: solved[s][0] + max(beta, 0.0) + allowance
+            for s, (beta, allowance) in bounds.items()}
+    sector = _ground_sector(solved)[0]
+    if sector is not None and (_even_wins(high[0], low[1])
+                               != _even_wins(low[0], high[1])):
+        return False
+    energy = solved[sector][0]
+    return high[sector] - energy < tol * max(1.0, abs(energy))
 
 
 def _check_convergence(**values: float) -> None:
@@ -327,10 +385,17 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
                 use_parity_blocks: bool = False) -> ConvergedGround:
     """Converged full-model ground state.
 
-    Doubles the photon cutoff from :func:`initial_cutoff` until
+    Doubles the photon cutoff from n0 = :func:`initial_cutoff` until
     the energy change between successive cutoffs is below tol * max(1, |E|)
     and the probability on the top two photon layers is below tail_threshold.
     Each doubling starts ARPACK from the previous cutoff's block vectors.
+
+    When every block at 2 n0 is dense, 2 n0 is solved first and n0 only if
+    the 2 n0 solve leaves the first test open: its tail passes, and the
+    bound of :func:`_truncation_bounds` on the energy change does not show
+    that the energy test passes too. Every result is the one that solving
+    n0 first gives, bit for bit.
+
     Raises ConvergenceError past the cutoff cap _N_CUT_MAX, and before any
     solve when twice the first cutoff exceeds it, since no second solve could
     confirm the first.
@@ -339,12 +404,29 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     n_cut = initial_cutoff(params)
     if 2 * n_cut > _N_CUT_MAX:
         raise _cap_exceeded(params)
-    prev_energy, blocks = None, None
     na = params.n_atoms
+    prev_energy, blocks, ahead = None, None, None
+    if _largest_block(na, 2 * n_cut, use_parity_blocks) <= _DENSE_LIMIT:
+        # the loop starts at 2 n0, comparing against E(n0), or against E(2 n0)
+        # itself where the test's outcome does not need E(n0)
+        ahead = _solve_cutoff(params, 2 * n_cut, use_parity_blocks)
+        sector = _ground_sector(ahead)[0]
+        if (_tail_mass(_ground_vector(na, 2 * n_cut, sector, ahead), na)
+                >= tail_threshold
+                or _certifies(params, n_cut, ahead, tol)):
+            prev_energy = ahead[sector][0]
+        else:
+            first = _solve_cutoff(params, n_cut, use_parity_blocks)
+            prev_energy = first[_ground_sector(first)[0]][0]
+        n_cut *= 2
     while n_cut <= _N_CUT_MAX:
-        energy, vec, parity, gap, blocks = _solve_cutoff(
-            params, n_cut, use_parity_blocks, starts=blocks)
-        tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
+        if ahead is None:
+            blocks = _solve_cutoff(params, n_cut, use_parity_blocks, starts=blocks)
+        else:
+            blocks, ahead = ahead, None
+        sector, parity, gap = _ground_sector(blocks)
+        energy, vec = blocks[sector][0], _ground_vector(na, n_cut, sector, blocks)
+        tail = _tail_mass(vec, na)
         if (prev_energy is not None
                 and abs(energy - prev_energy) < tol * max(1.0, abs(energy))
                 and tail < tail_threshold):
@@ -355,6 +437,19 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
         prev_energy = energy
         n_cut *= 2
     raise _cap_exceeded(params)
+
+
+def _ground_vector(n_atoms: int, n_cut: int, sector: int | None,
+                   solved: dict) -> np.ndarray:
+    """A solved block's vector on the whole product basis at cutoff n_cut."""
+    vec = np.zeros((n_cut + 1) * (n_atoms + 1))
+    vec[_layout(n_atoms, n_cut, sector).index] = solved[sector][1]
+    return vec
+
+
+def _tail_mass(vec: np.ndarray, n_atoms: int) -> float:
+    """Probability on the top two photon layers."""
+    return float(np.sum(vec[-2 * (n_atoms + 1):] ** 2))
 
 
 def _cap_exceeded(params: ModelParams) -> ConvergenceError:

@@ -26,6 +26,11 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not is_count(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the extended Dicke (Dicke-LMG) Hamiltonian.
@@ -53,8 +58,7 @@ class ModelParams:
             raise ValueError("omega_f must be > 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if not is_count(self.n_atoms) or self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be an integer >= 1, got {self.n_atoms!r}")
+        _check_count("n_atoms", self.n_atoms, 1)
 
     @property
     def omega(self) -> float:
@@ -81,8 +85,7 @@ class DickeBasis:
     n_atoms: int
 
     def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        _check_count("n_atoms", self.n_atoms, 1)
 
     @property
     def dimension(self) -> int:
@@ -126,10 +129,8 @@ class ProductBasis:
     n_cut: int
 
     def __post_init__(self):
-        if self.n_cut < 0:
-            raise ValueError("n_cut must be >= 0")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        _check_count("n_cut", self.n_cut, 0)
+        _check_count("n_atoms", self.n_atoms, 1)
 
     @property
     def dimension(self) -> int:

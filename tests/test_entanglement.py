@@ -135,6 +135,38 @@ class TestPairReduction:
         with pytest.raises(ValueError):
             reduce_to_two_qubits(np.eye(2) / 2, 1)
 
+    @pytest.mark.parametrize("n_atoms", range(2, 11))
+    def test_equals_the_per_term_loop_bit_for_bit(self, n_atoms):
+        rng = np.random.default_rng(n_atoms)
+        for imag in (0.0, 1.0):
+            a = (rng.standard_normal((n_atoms + 1, n_atoms + 1))
+                 + imag * 1j * rng.standard_normal((n_atoms + 1, n_atoms + 1)))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            if not imag:
+                rho = rho.real
+            expected = _pair_reduction_loop(rho, n_atoms)
+            got = reduce_to_two_qubits(rho, n_atoms)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+
+def _pair_reduction_loop(rho_a: np.ndarray, n_atoms: int) -> np.ndarray:
+    """The pair reduction adding one term at a time, in (q, q', p) order."""
+    c = entanglement._pair_amplitudes(n_atoms)
+    rho3 = np.zeros((3, 3), dtype=rho_a.dtype)
+    for q in range(3):
+        for qq in range(3):
+            for p in range(n_atoms + 1):
+                pp = p + qq - q
+                if 0 <= pp <= n_atoms:
+                    rho3[q, qq] += rho_a[p, pp] * c[p, q] * c[pp, qq]
+    embed = np.zeros((4, 3))
+    embed[0, 0] = 1.0
+    embed[1, 1] = embed[2, 1] = 1.0 / math.sqrt(2.0)
+    embed[3, 2] = 1.0
+    return embed @ rho3 @ embed.T.conj()
+
 
 class TestConcurrence:
     def test_bell_state(self):

@@ -20,7 +20,8 @@ from dicke_lmg.fullmodel import (build_full, build_rwa_product,
                                  critical_coupling_1_cr, effective_coupling,
                                  ground_full, initial_cutoff, parity_diagonal,
                                  parity_matrix)
-from dicke_lmg.model import ModelParams, ProductBasis, jp_matrix, jz_matrix
+from dicke_lmg.model import (ModelParams, ProductBasis, fix_sign, jp_matrix,
+                             jz_matrix)
 from dicke_lmg.rwa import critical_coupling_1, ground_state
 from dicke_lmg.sweep import SweepSpec, run_sweep
 
@@ -196,8 +197,7 @@ class TestGroundFull:
         assert ham.matrix.shape[0] > fullmodel._DENSE_LIMIT
         dense_e = scipy.linalg.eigh(ham.matrix, subset_by_index=[0, 0],
                                     eigvals_only=True)[0]
-        from dicke_lmg.fullmodel import _solve_cutoff
-        sparse_e = _solve_cutoff(params, n_cut, use_parity_blocks=False)[0]
+        sparse_e = fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=False)[None][0]
         assert sparse_e == pytest.approx(dense_e, abs=1e-8)
 
 
@@ -306,14 +306,14 @@ class TestWarmStart:
         # eigh of the larger block stays near 2000 states
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         n_cut = min(initial_cutoff(params), 2000 // (n_atoms + 1))
-        starts = fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=True)[4]
+        starts = fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=True)
         calls = _arpack_spy(monkeypatch)
         for sector in (0, 1):
             layout = fullmodel._layout(n_atoms, 2 * n_cut, sector)
             dense_e, dense_v = scipy.linalg.eigh(
                 fullmodel._hamiltonian(params, layout), subset_by_index=[0, 0])
             energy, vec = fullmodel._lowest_pair(
-                fullmodel._hamiltonian(params, layout, sparse=True), starts[sector])
+                fullmodel._hamiltonian(params, layout, sparse=True), starts[sector][1])
             assert abs(energy - dense_e[0]) <= 1e-12 * max(1.0, abs(energy))
             assert abs(dense_v[:, 0] @ vec) >= 1.0 - 1e-12
             # the padded start is already close to the answer
@@ -393,6 +393,222 @@ class TestWarmStart:
                                        sparse=True)
         with pytest.raises(ConvergenceError, match=f"{layout.index.size}-state block"):
             fullmodel._lowest_pair(block)
+
+
+def _parent_ground_full(params, tol=1e-8, tail_threshold=1e-10,
+                        use_parity_blocks=False):
+    """The doubling loop that solves every cutoff from initial_cutoff on,
+    as ground_full ran before it certified the first cutoff: (result tuple,
+    cutoffs solved), or the ConvergenceError it raises."""
+    n_cut = initial_cutoff(params)
+    if 2 * n_cut > fullmodel._N_CUT_MAX:
+        return ConvergenceError, []
+    na = params.n_atoms
+    prev_energy, blocks, solved = None, {}, []
+    while n_cut <= fullmodel._N_CUT_MAX:
+        solved.append(n_cut)
+        results, vectors = {}, {}
+        for sector in ((0, 1) if use_parity_blocks else (None,)):
+            layout = fullmodel._layout(na, n_cut, sector)
+            if layout.index.size > fullmodel._DENSE_LIMIT:
+                energy, vectors[sector] = fullmodel._lowest_pair(
+                    fullmodel._hamiltonian(params, layout, sparse=True),
+                    blocks.get(sector))
+            else:
+                with fullmodel._one_blas_thread():
+                    vals, vecs = scipy.linalg.eigh(fullmodel._hamiltonian(params, layout),
+                                                   subset_by_index=[0, 0])
+                energy, vectors[sector] = float(vals[0]), vecs[:, 0]
+            vec = np.zeros((n_cut + 1) * (na + 1))
+            vec[layout.index] = vectors[sector]
+            results[sector] = (energy, vec)
+        blocks = vectors
+        if use_parity_blocks:
+            (even, even_vec), (odd, odd_vec) = results[0], results[1]
+            gap = abs(even - odd)
+            if even <= odd + 1e-10 * max(1.0, abs(even)):
+                energy, vec, parity = even, even_vec, +1
+            else:
+                energy, vec, parity = odd, odd_vec, -1
+        else:
+            (energy, vec), parity, gap = results[None], None, None
+        tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
+        if (prev_energy is not None
+                and abs(energy - prev_energy) < tol * max(1.0, abs(energy))
+                and tail < tail_threshold):
+            vec = fix_sign(vec)
+            amplitudes = (vec / np.linalg.norm(vec)).tobytes()
+            return (energy, amplitudes, n_cut, parity, gap, tail), solved
+        prev_energy = energy
+        n_cut *= 2
+    return ConvergenceError, solved
+
+
+def _outcome(params, **kwargs):
+    try:
+        r = ground_full(params, **kwargs)
+    except ConvergenceError:
+        return ConvergenceError
+    return (r.energy, r.state.amplitudes.tobytes(), r.n_cut_used, r.parity,
+            r.parity_gap, r.tail_mass)
+
+
+def _cutoff_spy(monkeypatch):
+    """Record the cutoff of every _solve_cutoff call."""
+    cutoffs = []
+    solve = fullmodel._solve_cutoff
+
+    def spy(params, n_cut, *args, **kwargs):
+        cutoffs.append(n_cut)
+        return solve(params, n_cut, *args, **kwargs)
+
+    monkeypatch.setattr(fullmodel, "_solve_cutoff", spy)
+    return cutoffs
+
+
+# weak, near-critical and superradiant couplings at both signs of eta and
+# delta; at N_a <= 8 the first doubled cutoff is dense up to lam 0.6 with
+# parity blocks and goes to ARPACK above it
+_CERTIFY_LAMS = (0.0, 0.05, 0.3, 0.6, 0.9, 1.2)
+_CERTIFY_SHAPES = ((0.7, 0.3), (-0.8, -0.4))
+
+
+def _dense_first_points():
+    """(params, use_parity_blocks) of the certify grid whose blocks at twice
+    the first cutoff are all dense."""
+    for n_atoms, lam, (eta, delta), parity in itertools.product(
+            range(1, 9), _CERTIFY_LAMS, _CERTIFY_SHAPES, (False, True)):
+        params = _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
+        n0 = initial_cutoff(params)
+        if fullmodel._largest_block(n_atoms, 2 * n0, parity) <= fullmodel._DENSE_LIMIT:
+            yield params, parity
+
+
+class TestCertifiedFirstCutoff:
+    @pytest.mark.parametrize("n_atoms", range(1, 9))
+    def test_matches_the_parent_loop_bit_for_bit(self, n_atoms):
+        for lam, (eta, delta), parity, tol in itertools.product(
+                _CERTIFY_LAMS, _CERTIFY_SHAPES, (False, True), (1e-8, 1e-10, 1e-13)):
+            params = _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
+            expected, _ = _parent_ground_full(params, tol=tol,
+                                              use_parity_blocks=parity)
+            assert _outcome(params, tol=tol, use_parity_blocks=parity) == expected
+
+    def test_bound_holds_at_every_dense_point(self):
+        points = list(_dense_first_points())
+        assert len(points) > 100
+        for params, parity in points:
+            n0 = initial_cutoff(params)
+            big = fullmodel._solve_cutoff(params, 2 * n0, parity)
+            small = fullmodel._solve_cutoff(params, n0, parity)
+            bounds = fullmodel._truncation_bounds(params, n0, big)
+            assert bounds.keys() == big.keys()
+            for sector, (beta, allowance) in bounds.items():
+                change = small[sector][0] - big[sector][0]
+                assert -allowance <= change <= max(beta, 0.0) + allowance
+                assert allowance < 1e-10
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
+    def test_bound_at_truncating_cutoffs(self, n_atoms):
+        # at cutoffs far below initial_cutoff the energy change dwarfs the
+        # rounding allowance, so beta alone must bound it, from above
+        params = _params(lam=0.9, eta=0.7, delta=0.3, n_atoms=n_atoms)
+        for n_cut, parity in itertools.product((1, 2, 4, 6), (False, True)):
+            big = fullmodel._solve_cutoff(params, 2 * n_cut, parity)
+            small = fullmodel._solve_cutoff(params, n_cut, parity)
+            for sector, (beta, allowance) in fullmodel._truncation_bounds(
+                    params, n_cut, big).items():
+                change = small[sector][0] - big[sector][0]
+                assert change > 1e3 * allowance
+                assert change <= beta <= 3.0 * change
+
+    def test_one_solve_and_two_eigh_calls_per_sweep_point(self, monkeypatch):
+        cutoffs = _cutoff_spy(monkeypatch)
+        calls = []
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+        records = run_sweep(_sweep_spec(workers=None))
+        assert len(records) == 25 and not any(r.flags for r in records)
+        assert len(cutoffs) == 25 and len(calls) == 50
+        assert sorted(cutoffs) == sorted(
+            2 * initial_cutoff(_params(lam=r.lam, eta=r.eta, n_atoms=5)) for r in records)
+
+    @pytest.mark.parametrize("n_atoms,lam", [(2, 0.3), (5, 0.6), (7, 0.45)])
+    def test_forced_tail_failure_skips_the_first_cutoff(self, n_atoms, lam,
+                                                        monkeypatch):
+        params = _params(lam=lam, eta=0.7, delta=0.3, n_atoms=n_atoms)
+        n0 = initial_cutoff(params)
+        tail = ground_full(params, use_parity_blocks=True).tail_mass
+        assert 0.0 < tail
+        threshold = tail / 2
+        expected, parent_cutoffs = _parent_ground_full(
+            params, tail_threshold=threshold, use_parity_blocks=True)
+        assert parent_cutoffs[:3] == [n0, 2 * n0, 4 * n0]
+        cutoffs = _cutoff_spy(monkeypatch)
+        assert _outcome(params, tail_threshold=threshold,
+                        use_parity_blocks=True) == expected
+        assert cutoffs == parent_cutoffs[1:]
+
+    @pytest.mark.parametrize("n_atoms,lam", [(2, 0.3), (5, 0.6), (7, 0.45)])
+    @pytest.mark.parametrize("tol", [1e-15, 1e-16])
+    def test_forced_bound_failure_solves_the_first_cutoff(self, n_atoms, lam, tol,
+                                                          monkeypatch):
+        # tol * |E| below the rounding allowance: the bound cannot certify
+        params = _params(lam=lam, eta=0.7, delta=0.3, n_atoms=n_atoms)
+        n0 = initial_cutoff(params)
+        expected, parent_cutoffs = _parent_ground_full(params, tol=tol,
+                                                       use_parity_blocks=True)
+        cutoffs = _cutoff_spy(monkeypatch)
+        assert _outcome(params, tol=tol, use_parity_blocks=True) == expected
+        assert cutoffs[:2] == [2 * n0, n0]
+        assert sorted(cutoffs) == parent_cutoffs
+
+    @pytest.mark.parametrize("n_atoms,lam,parity", [
+        (8, 0.6, False),       # 585 states at twice the first cutoff
+        (10, 0.8, True),       # parity blocks of 688 states
+        (20, 0.45, True)])
+    def test_arpack_sized_blocks_solve_the_first_cutoff_first(
+            self, n_atoms, lam, parity, monkeypatch):
+        params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
+        n0 = initial_cutoff(params)
+        assert fullmodel._largest_block(n_atoms, 2 * n0, parity) > fullmodel._DENSE_LIMIT
+        expected, parent_cutoffs = _parent_ground_full(params, use_parity_blocks=parity)
+        cutoffs = _cutoff_spy(monkeypatch)
+        assert _outcome(params, use_parity_blocks=parity) == expected
+        assert cutoffs == parent_cutoffs and cutoffs[:2] == [n0, 2 * n0]
+
+    def test_dense_with_parity_blocks_only(self, monkeypatch):
+        # N_a = 8, lam = 0.6: twice the first cutoff has 585 states, parity
+        # blocks of 293
+        params = _params(lam=0.6, eta=0.7, n_atoms=8)
+        n0 = initial_cutoff(params)
+        cutoffs = _cutoff_spy(monkeypatch)
+        ground_full(params, use_parity_blocks=True)
+        assert cutoffs == [2 * n0]
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
+    def test_largest_block_is_the_largest_layout(self, n_atoms):
+        for n_cut in (1, 2, 7, 16, 33):
+            for parity, sectors in ((False, (None,)), (True, (0, 1))):
+                sizes = [fullmodel._layout(n_atoms, n_cut, s).index.size
+                         for s in sectors]
+                assert fullmodel._largest_block(n_atoms, n_cut, parity) == max(sizes)
+
+    def test_no_certificate_where_the_parity_choice_may_flip(self):
+        # the even block at the tie margin of the odd one: the choice at the
+        # first cutoff could go either way, so only a solve can tell
+        params = _params(lam=0.6, eta=1.2, n_atoms=5)
+        n0 = initial_cutoff(params)
+        solved = fullmodel._solve_cutoff(params, 2 * n0, True)
+        assert fullmodel._certifies(params, n0, solved, 1e-8)
+        even = solved[0][0]
+        for odd in (even - 1e-10 * abs(even), even - 1e-10 * abs(even) + 1e-13):
+            tied = {0: solved[0], 1: (odd, solved[1][1])}
+            assert not fullmodel._certifies(params, n0, tied, 1e-8)
+        for odd in (even - 1e-9, even + 1e-9):
+            apart = {0: solved[0], 1: (odd, solved[1][1])}
+            assert fullmodel._certifies(params, n0, apart, 1e-8)
 
 
 needs_openblas = pytest.mark.skipif(fullmodel._blas_threads() is None,

@@ -55,6 +55,33 @@ def test_su2_algebra(na):
     assert np.abs(jp_matrix(na) - jm_matrix(na).T).max() == 0
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, -1, 0, "3", None])
+def test_dicke_basis_rejects_invalid_counts(count):
+    with pytest.raises(ValueError, match="n_atoms must be an integer >= 1"):
+        DickeBasis(count)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(n_atoms=2, n_cut=1.5), "n_cut"),
+    (dict(n_atoms=2, n_cut=1.0), "n_cut"),
+    (dict(n_atoms=2, n_cut=False), "n_cut"),
+    (dict(n_atoms=2, n_cut=-1), "n_cut"),
+    (dict(n_atoms=2.5, n_cut=1), "n_atoms"),
+    (dict(n_atoms=True, n_cut=1), "n_atoms"),
+    (dict(n_atoms=0, n_cut=1), "n_atoms"),
+])
+def test_product_basis_rejects_invalid_counts(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ProductBasis(**kwargs)
+
+
+def test_bases_accept_numpy_integer_counts():
+    assert DickeBasis(np.int64(3)).dimension == 4
+    basis = ProductBasis(n_atoms=np.int32(2), n_cut=np.int64(1))
+    assert basis.dimension == 6
+    assert ProductBasis(n_atoms=1, n_cut=0).dimension == 2
+
+
 def test_product_basis_ordering_photon_major():
     basis = ProductBasis(n_atoms=2, n_cut=1)
     assert basis.dimension == 6
