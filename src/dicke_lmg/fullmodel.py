@@ -125,20 +125,26 @@ def _layout(n_atoms: int, n_cut: int, sector: int | None) -> _Layout:
     return (_cached_layout if small else _Layout.build)(n_atoms, n_cut, sector)
 
 
-def _hamiltonian(params: ModelParams, layout: _Layout, sparse: bool = False,
-                 counter_rotating: bool = True):
-    """H on the states of ``layout``, dense or CSR, written from its bands:
-    the diagonal omega_f k + omega m + eta m^2 / N_a and the coupling entries
-    lam N_a^{-1/2} sqrt(k+1) <p'|J_+ + J_-|p>. Without counter-rotating terms
-    the coupling is its rotating-wave part lam N_a^{-1/2} (a J_+ + a^dag J_-)."""
+def _bands(params: ModelParams, layout: _Layout, counter_rotating: bool = True):
+    """The one place that writes H's terms, on the states of ``layout``: its
+    diagonal omega_f k + omega m + eta m^2 / N_a, and its coupling entries
+    lam N_a^{-1/2} sqrt(k+1) <p'|J_+ + J_-|p> at (rows, cols) and their
+    transposes. Without counter-rotating terms the coupling is its
+    rotating-wave part lam N_a^{-1/2} (a J_+ + a^dag J_-)."""
     na = params.n_atoms
     m = DickeBasis(na).m_values
     spin = params.omega * m + params.eta * m * m / na
     diag = params.omega_f * layout.k + spin[layout.p]
     end = layout.weights.size if counter_rotating else layout.n_rotating
     coupling = params.lam / math.sqrt(na) * layout.weights[:end]
-    rows, cols = layout.rows[:end], layout.cols[:end]
-    dim = layout.index.size
+    return diag, coupling, layout.rows[:end], layout.cols[:end]
+
+
+def _hamiltonian(params: ModelParams, layout: _Layout, sparse: bool = False,
+                 counter_rotating: bool = True):
+    """H on the states of ``layout``, dense or CSR, written from its bands."""
+    diag, coupling, rows, cols = _bands(params, layout, counter_rotating)
+    dim = diag.size
     if sparse:
         at = np.arange(dim)
         return scipy.sparse.csr_matrix(
@@ -150,6 +156,16 @@ def _hamiltonian(params: ModelParams, layout: _Layout, sparse: bool = False,
     h[rows, cols] = coupling
     h[cols, rows] = coupling
     return h
+
+
+def _norm_bound(params: ModelParams, layout: _Layout) -> float:
+    """Gershgorin bound on ||H|| on the states of ``layout``: the largest sum
+    of |H_ij| over a row, taken from the bands of :func:`_bands`."""
+    diag, coupling, rows, cols = _bands(params, layout)
+    weight = np.abs(coupling)
+    sums = (np.abs(diag) + np.bincount(rows, weight, diag.size)
+            + np.bincount(cols, weight, diag.size))
+    return float(sums.max())
 
 
 def _dense(params: ModelParams, n_cut: int, counter_rotating: bool) -> FullHamiltonian:
@@ -266,8 +282,7 @@ def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.nda
     one."""
     if not scipy.sparse.issparse(matrix):
         with _one_blas_thread():
-            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0],
-                                           overwrite_a=True)
+            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
         return float(vals[0]), vecs[:, 0]
     dim = matrix.shape[0]
     if start is None:
@@ -336,13 +351,13 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
     <phi|phi> = -<phi|H|chi> / <phi|phi>, the coupling between layers n_cut
     and n_cut + 1. The allowance is four times the backward error of dense
     eigh, dim eps ||H||, divided by <phi|phi>: it covers both eigenvalues, the
-    residual of v and beta's arithmetic."""
-    na, big = params.n_atoms, 2 * n_cut
-    norm = (params.omega_f * big + abs(params.omega) * na / 2
-            + abs(params.eta) * na / 4 + 2.0 * params.lam * math.sqrt(big * na))
+    residual of v and beta's arithmetic. A block is a principal submatrix of
+    the whole H, so :func:`_norm_bound` on the whole basis bounds its norm."""
+    na = params.n_atoms
+    norm = _norm_bound(params, _layout(na, 2 * n_cut, None))
     bounds = {}
     for sector, (_, vec) in solved.items():
-        layout = _layout(na, big, sector)
+        layout = _layout(na, 2 * n_cut, sector)
         phi = vec[:np.searchsorted(layout.k, n_cut, side="right")]
         weight = phi @ phi
         top = layout.k[layout.rows] == n_cut
@@ -391,10 +406,9 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     Each doubling starts ARPACK from the previous cutoff's block vectors.
 
     When every block at 2 n0 is dense, 2 n0 is solved first and n0 only if
-    the 2 n0 solve leaves the first test open: its tail passes, and the
-    bound of :func:`_truncation_bounds` on the energy change does not show
-    that the energy test passes too. Every result is the one that solving
-    n0 first gives, bit for bit.
+    the bound of :func:`_truncation_bounds` on the energy change does not
+    show that the energy test between n0 and 2 n0 passes. Every result is the
+    one that solving n0 first gives, bit for bit.
 
     Raises ConvergenceError past the cutoff cap _N_CUT_MAX, and before any
     solve when twice the first cutoff exceeds it, since no second solve could
@@ -408,13 +422,10 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     prev_energy, blocks, ahead = None, None, None
     if _largest_block(na, 2 * n_cut, use_parity_blocks) <= _DENSE_LIMIT:
         # the loop starts at 2 n0, comparing against E(n0), or against E(2 n0)
-        # itself where the test's outcome does not need E(n0)
+        # itself where the bound shows that the energy test passes either way
         ahead = _solve_cutoff(params, 2 * n_cut, use_parity_blocks)
-        sector = _ground_sector(ahead)[0]
-        if (_tail_mass(_ground_vector(na, 2 * n_cut, sector, ahead), na)
-                >= tail_threshold
-                or _certifies(params, n_cut, ahead, tol)):
-            prev_energy = ahead[sector][0]
+        if _certifies(params, n_cut, ahead, tol):
+            prev_energy = ahead[_ground_sector(ahead)[0]][0]
         else:
             first = _solve_cutoff(params, n_cut, use_parity_blocks)
             prev_energy = first[_ground_sector(first)[0]][0]
@@ -425,8 +436,10 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
         else:
             blocks, ahead = ahead, None
         sector, parity, gap = _ground_sector(blocks)
-        energy, vec = blocks[sector][0], _ground_vector(na, n_cut, sector, blocks)
-        tail = _tail_mass(vec, na)
+        energy = blocks[sector][0]
+        vec = np.zeros((n_cut + 1) * (na + 1))
+        vec[_layout(na, n_cut, sector).index] = blocks[sector][1]
+        tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
         if (prev_energy is not None
                 and abs(energy - prev_energy) < tol * max(1.0, abs(energy))
                 and tail < tail_threshold):
@@ -437,19 +450,6 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
         prev_energy = energy
         n_cut *= 2
     raise _cap_exceeded(params)
-
-
-def _ground_vector(n_atoms: int, n_cut: int, sector: int | None,
-                   solved: dict) -> np.ndarray:
-    """A solved block's vector on the whole product basis at cutoff n_cut."""
-    vec = np.zeros((n_cut + 1) * (n_atoms + 1))
-    vec[_layout(n_atoms, n_cut, sector).index] = solved[sector][1]
-    return vec
-
-
-def _tail_mass(vec: np.ndarray, n_atoms: int) -> float:
-    """Probability on the top two photon layers."""
-    return float(np.sum(vec[-2 * (n_atoms + 1):] ** 2))
 
 
 def _cap_exceeded(params: ModelParams) -> ConvergenceError:

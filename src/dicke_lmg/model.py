@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def is_count(value) -> bool:
-    """An int or numpy integer, not a bool or an integral float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if not is_count(value) or value < least:
+def check_count(name: str, value, least: int) -> None:
+    """The one check of a count: an int or numpy integer >= least, not a bool
+    or an integral float."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -58,7 +56,7 @@ class ModelParams:
             raise ValueError("omega_f must be > 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        _check_count("n_atoms", self.n_atoms, 1)
+        check_count("n_atoms", self.n_atoms, 1)
 
     @property
     def omega(self) -> float:
@@ -85,7 +83,7 @@ class DickeBasis:
     n_atoms: int
 
     def __post_init__(self):
-        _check_count("n_atoms", self.n_atoms, 1)
+        check_count("n_atoms", self.n_atoms, 1)
 
     @property
     def dimension(self) -> int:
@@ -129,8 +127,8 @@ class ProductBasis:
     n_cut: int
 
     def __post_init__(self):
-        _check_count("n_cut", self.n_cut, 0)
-        _check_count("n_atoms", self.n_atoms, 1)
+        check_count("n_cut", self.n_cut, 0)
+        check_count("n_atoms", self.n_atoms, 1)
 
     @property
     def dimension(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fullmodel, rwa
 from .entanglement import cw_of_ground, entropy_of_ground
-from .model import ModelParams, PureState, is_count
+from .model import ModelParams, PureState, check_count
 
 # a full-model neighbour fidelity below this marks a phase boundary
 _FIDELITY_JUMP = 0.5
@@ -44,8 +44,7 @@ class SweepSpec:
         if self.solver not in ("rwa", "full"):
             raise ValueError("solver must be 'rwa' or 'full'")
         for name, (lo, hi, count) in (("lam", self.lam_axis), ("eta", self.eta_axis)):
-            if not is_count(count) or count < 2:
-                raise ValueError(f"{name} axis needs an integer count >= 2, got {count!r}")
+            check_count(f"{name} axis count", count, 2)
             if not lo < hi:
                 raise ValueError(f"{name} axis min must be < max")
         # every grid point lies between the low and the high corner, so if

@@ -509,6 +509,17 @@ class TestCertifiedFirstCutoff:
                 assert allowance < 1e-10
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
+    def test_norm_bound_covers_the_spectrum(self, n_atoms):
+        # the rounding allowance rests on ||H|| <= _norm_bound
+        for lam, (eta, delta) in itertools.product(_CERTIFY_LAMS, _CERTIFY_SHAPES):
+            params = _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
+            for n_cut, sector in itertools.product((1, 6, 33), (None, 0, 1)):
+                layout = fullmodel._layout(n_atoms, n_cut, sector)
+                spectrum = np.linalg.eigvalsh(fullmodel._hamiltonian(params, layout))
+                assert (np.abs(spectrum).max()
+                        <= fullmodel._norm_bound(params, layout))
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
     def test_bound_at_truncating_cutoffs(self, n_atoms):
         # at cutoffs far below initial_cutoff the energy change dwarfs the
         # rounding allowance, so beta alone must bound it, from above

@@ -51,6 +51,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             _spec(**kwargs)
 
+    @pytest.mark.parametrize("axis,count", [("lam", 1), ("lam", 3.0),
+                                            ("eta", True)])
+    def test_axis_count_goes_through_the_one_count_check(self, axis, count):
+        with pytest.raises(ValueError,
+                           match=f"{axis} axis count must be an integer >= 2"):
+            _spec(**{f"{axis}_axis": (0.0, 1.0, count)})
+
     def test_accepts_numpy_integer_counts(self):
         spec = _spec(n_atoms=np.int64(3), lam_axis=(0.1, 1.5, np.int64(4)))
         assert spec.lam_values.size == 4
