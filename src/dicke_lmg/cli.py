@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime/solver failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -95,17 +96,13 @@ def cmd_solve(args) -> int:
     _usage(fullmodel._check_convergence, tol=args.tol)
     if args.solver == "rwa":
         result = rwa.ground_state(params)
-        state, energy = result.state, result.energy
-        report = {"solver": "rwa", "energy": energy,
-                  "subspace_index": result.subspace_index,
-                  "at_transition": result.at_transition}
     else:
-        result = fullmodel.ground_full(params, tol=args.tol,
-                                       use_parity_blocks=args.parity_blocks)
-        state, energy = result.state, result.energy
-        report = {"solver": "full", "energy": energy,
-                  "n_cut_used": result.n_cut_used,
-                  "tail_mass": result.tail_mass}
+        result = fullmodel.ground_full(params, tol=args.tol)
+    state = result.state
+    # every field of the solver's record but the state itself
+    report = {"solver": args.solver}
+    report.update((f.name, getattr(result, f.name))
+                  for f in dataclasses.fields(result) if f.name != "state")
     report["cw"] = cw_of_ground(state)
     report["entropy_bits"] = entropy_of_ground(state)
     # rank the amplitudes the state holds, not the zeros padding an RWA strip
@@ -118,10 +115,8 @@ def cmd_solve(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        for key in ("solver", "energy", "subspace_index", "at_transition",
-                    "n_cut_used", "tail_mass", "cw", "entropy_bits"):
-            if key in report:
-                value = report[key]
+        for key, value in report.items():
+            if key != "leading_amplitudes":
                 print(f"{key:>16}: "
                       f"{_fmt(value) if isinstance(value, float) else value}")
         print("   leading terms:")
@@ -205,8 +200,7 @@ def cmd_sweep(args) -> int:
         solver=args.solver, omega_f=args.wf, delta=_delta(args), n_atoms=args.na,
         lam_axis=(args.lam_min, args.lam_max, args.lam_points),
         eta_axis=(args.eta_min, args.eta_max, args.eta_points),
-        tol=args.tol, workers=args.workers,
-        use_parity_blocks=args.parity_blocks)
+        tol=args.tol, workers=args.workers)
     # a sweep can take hours: refuse an unwritable destination before it starts
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
@@ -254,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--solver", choices=("rwa", "full"), default="rwa")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--parity-blocks", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -283,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-points", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--parity-blocks", action=argparse.BooleanOptionalAction,
-                   default=True)
     p.add_argument("--out", required=True, help="output data file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)

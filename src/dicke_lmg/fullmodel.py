@@ -13,7 +13,8 @@ a J_+ + a^dag J_-).
 
 Excitation number is no longer conserved, but parity
 (-1)^(a^dag a + J_z + N_a/2) is, so the matrix splits into two blocks that
-can optionally be diagonalized separately.
+are diagonalized separately: the ground state has a definite parity even in
+the near-degenerate superradiant doublet.
 """
 
 from __future__ import annotations
@@ -56,16 +57,16 @@ class ConvergedGround:
     """Ground state with Fock-truncation bookkeeping.
 
     ``tail_mass`` is the probability on the two highest photon layers of the
-    converged cutoff; ``parity_gap`` is reported when parity blocks were
-    solved separately (None otherwise).
+    converged cutoff; ``parity`` is the ground block's parity, +1 or -1, and
+    ``parity_gap`` the distance between the two blocks' lowest energies.
     """
 
     energy: float
     state: PureState
     n_cut_used: int
     tail_mass: float
-    parity: int | None = None
-    parity_gap: float | None = None
+    parity: int
+    parity_gap: float
 
 
 @dataclass(frozen=True)
@@ -299,24 +300,23 @@ def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.nda
     return float(vals[0]), vecs[:, 0]
 
 
-def _largest_block(n_atoms: int, n_cut: int, use_parity_blocks: bool) -> int:
-    """States in the largest block at cutoff n_cut: the whole basis, or its
-    even sector, which holds the odd state out when the basis is odd."""
-    states = (n_cut + 1) * (n_atoms + 1)
-    return (states + 1) // 2 if use_parity_blocks else states
+def _largest_block(n_atoms: int, n_cut: int) -> int:
+    """States in the larger parity block at cutoff n_cut: the even sector,
+    which holds the odd state out when the basis is odd."""
+    return ((n_cut + 1) * (n_atoms + 1) + 1) // 2
 
 
-def _solve_cutoff(params: ModelParams, n_cut: int, use_parity_blocks: bool,
+def _solve_cutoff(params: ModelParams, n_cut: int,
                   starts: dict | None = None) -> dict:
-    """Lowest eigenpair of each block at fixed cutoff: maps each sector (0 and
-    1, or None without parity blocks) to (energy, block vector). Each block is
-    assembled directly and solved densely up to _DENSE_LIMIT states, by ARPACK
-    above. Passed back in as ``starts`` at a larger cutoff, the block vectors
-    start ARPACK there, since a sector's states at this cutoff are a prefix of
-    its states at any larger one."""
+    """Lowest eigenpair of each parity block at fixed cutoff: maps sectors 0
+    and 1 to (energy, block vector). Each block is assembled directly and
+    solved densely up to _DENSE_LIMIT states, by ARPACK above. Passed back in
+    as ``starts`` at a larger cutoff, the block vectors start ARPACK there,
+    since a sector's states at this cutoff are a prefix of its states at any
+    larger one."""
     starts = starts or {}
     solved = {}
-    for sector in ((0, 1) if use_parity_blocks else (None,)):
+    for sector in (0, 1):
         layout = _layout(params.n_atoms, n_cut, sector)
         block = _hamiltonian(params, layout, sparse=layout.index.size > _DENSE_LIMIT)
         start = starts[sector][1] if sector in starts else None
@@ -330,11 +330,8 @@ def _even_wins(even: float, odd: float) -> bool:
     return even <= odd + 1e-10 * max(1.0, abs(even))
 
 
-def _ground_sector(solved: dict) -> tuple[int | None, int | None, float | None]:
-    """(sector, parity, parity gap) of the ground block of a solved cutoff;
-    parity and gap are None without parity blocks."""
-    if None in solved:
-        return None, None, None
+def _ground_sector(solved: dict) -> tuple[int, int, float]:
+    """(sector, parity, parity gap) of the ground block of a solved cutoff."""
     even, odd = solved[0][0], solved[1][0]
     gap = abs(even - odd)
     return (0, +1, gap) if _even_wins(even, odd) else (1, -1, gap)
@@ -378,10 +375,9 @@ def _certifies(params: ModelParams, n_cut: int, solved: dict, tol: float) -> boo
     low = {s: solved[s][0] - allowance for s, (_, allowance) in bounds.items()}
     high = {s: solved[s][0] + max(beta, 0.0) + allowance
             for s, (beta, allowance) in bounds.items()}
-    sector = _ground_sector(solved)[0]
-    if sector is not None and (_even_wins(high[0], low[1])
-                               != _even_wins(low[0], high[1])):
+    if _even_wins(high[0], low[1]) != _even_wins(low[0], high[1]):
         return False
+    sector = _ground_sector(solved)[0]
     energy = solved[sector][0]
     return high[sector] - energy < tol * max(1.0, abs(energy))
 
@@ -395,10 +391,16 @@ def _check_convergence(**values: float) -> None:
             raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
+def _check_parity_blocks(use_parity_blocks: bool) -> None:
+    """The one check of the kept keyword, for ground_full and SweepSpec."""
+    if use_parity_blocks is not True:
+        raise ValueError(f"use_parity_blocks must be True, got {use_parity_blocks!r}")
+
+
 def ground_full(params: ModelParams, tol: float = 1e-8,
                 tail_threshold: float = 1e-10,
-                use_parity_blocks: bool = False) -> ConvergedGround:
-    """Converged full-model ground state.
+                use_parity_blocks: bool = True) -> ConvergedGround:
+    """Converged full-model ground state, of definite parity.
 
     Doubles the photon cutoff from n0 = :func:`initial_cutoff` until
     the energy change between successive cutoffs is below tol * max(1, |E|)
@@ -412,27 +414,29 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
 
     Raises ConvergenceError past the cutoff cap _N_CUT_MAX, and before any
     solve when twice the first cutoff exceeds it, since no second solve could
-    confirm the first.
+    confirm the first. ``use_parity_blocks`` accepts only True, for callers
+    that still pass it.
     """
     _check_convergence(tol=tol, tail_threshold=tail_threshold)
+    _check_parity_blocks(use_parity_blocks)
     n_cut = initial_cutoff(params)
     if 2 * n_cut > _N_CUT_MAX:
         raise _cap_exceeded(params)
     na = params.n_atoms
     prev_energy, blocks, ahead = None, None, None
-    if _largest_block(na, 2 * n_cut, use_parity_blocks) <= _DENSE_LIMIT:
+    if _largest_block(na, 2 * n_cut) <= _DENSE_LIMIT:
         # the loop starts at 2 n0, comparing against E(n0), or against E(2 n0)
         # itself where the bound shows that the energy test passes either way
-        ahead = _solve_cutoff(params, 2 * n_cut, use_parity_blocks)
+        ahead = _solve_cutoff(params, 2 * n_cut)
         if _certifies(params, n_cut, ahead, tol):
             prev_energy = ahead[_ground_sector(ahead)[0]][0]
         else:
-            first = _solve_cutoff(params, n_cut, use_parity_blocks)
+            first = _solve_cutoff(params, n_cut)
             prev_energy = first[_ground_sector(first)[0]][0]
         n_cut *= 2
     while n_cut <= _N_CUT_MAX:
         if ahead is None:
-            blocks = _solve_cutoff(params, n_cut, use_parity_blocks, starts=blocks)
+            blocks = _solve_cutoff(params, n_cut, starts=blocks)
         else:
             blocks, ahead = ahead, None
         sector, parity, gap = _ground_sector(blocks)

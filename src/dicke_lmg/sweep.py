@@ -38,7 +38,7 @@ class SweepSpec:
     tol: float = 1e-8
     tail_threshold: float = 1e-10
     workers: int | None = None
-    use_parity_blocks: bool = True   # full solver only
+    use_parity_blocks: bool = True   # True only, as in ground_full
 
     def __post_init__(self):
         if self.solver not in ("rwa", "full"):
@@ -53,8 +53,9 @@ class SweepSpec:
             self._params(self.lam_axis[corner], self.eta_axis[corner])
         fullmodel._check_convergence(tol=self.tol,
                                      tail_threshold=self.tail_threshold)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (None: serial)")
+        if self.workers is not None:
+            check_count("workers", self.workers, 1)
+        fullmodel._check_parity_blocks(self.use_parity_blocks)
 
     def _params(self, lam: float, eta: float) -> ModelParams:
         return ModelParams(omega_f=self.omega_f, delta=self.delta, eta=eta,
@@ -106,17 +107,14 @@ def _eval_point(spec: SweepSpec, lam: float, eta: float) -> GridRecord:
     try:
         if spec.solver == "rwa":
             result = rwa.ground_state(params)
-            state, energy = result.state, result.energy
             phase_index = result.subspace_index
             flags = "at_transition" if result.at_transition else ""
         else:
             result = fullmodel.ground_full(
-                params, tol=spec.tol, tail_threshold=spec.tail_threshold,
-                use_parity_blocks=spec.use_parity_blocks)
-            state, energy = result.state, result.energy
-            phase_index = result.n_cut_used
-            flags = ""
-        return GridRecord(lam=lam, eta=eta, energy=energy,
+                params, tol=spec.tol, tail_threshold=spec.tail_threshold)
+            phase_index, flags = result.n_cut_used, ""
+        state = result.state
+        return GridRecord(lam=lam, eta=eta, energy=result.energy,
                           phase_index=phase_index, cw=cw_of_ground(state),
                           entropy_bits=entropy_of_ground(state), flags=flags,
                           state=state)
@@ -154,15 +152,18 @@ def _grid(records: list[GridRecord], spec: SweepSpec) -> list[list[GridRecord]]:
 def _changed(spec: SweepSpec, a: GridRecord, b: GridRecord) -> tuple[bool, float, float]:
     if spec.solver == "rwa":
         return a.phase_index != b.phase_index, float(a.phase_index), float(b.phase_index)
-    if a.state is None or b.state is None:
+    if a.flags or b.flags:            # a contained failure has no state
         return False, float("nan"), float("nan")
+    if a.state is None or b.state is None:
+        raise ValueError("full-model boundaries need the records' states")
     fid = a.state.fidelity(b.state)
     return fid < _FIDELITY_JUMP, fid, fid
 
 
 def boundary_trace(records: list[GridRecord], spec: SweepSpec) -> list[BoundarySegment]:
     """Cell edges where the ground phase changes: subspace-index changes for
-    the RWA, neighbor-fidelity drops for the full model."""
+    the RWA, neighbor-fidelity drops for the full model, where an unflagged
+    record without its state (as read from a CSV) raises ValueError."""
     rows = _grid(records, spec)
     segments = []
     for row in rows:
@@ -185,7 +186,8 @@ def boundary_trace(records: list[GridRecord], spec: SweepSpec) -> list[BoundaryS
 def first_lambda_boundaries(records: list[GridRecord],
                             spec: SweepSpec) -> dict[float, float]:
     """For each eta row, the midpoint of the first lam edge where the phase
-    changes (rows without a boundary are omitted)."""
+    changes (rows without a boundary are omitted), judged as in
+    :func:`boundary_trace`."""
     out: dict[float, float] = {}
     for row in _grid(records, spec):
         for a, b in zip(row, row[1:]):

@@ -230,7 +230,7 @@ def test_criterion_7_structural_invariants():
 def test_criterion_8_phase_diagram_sweep():
     spec = SweepSpec(solver="full", omega_f=1.0, delta=0.0, n_atoms=5,
                      lam_axis=(0.006, 0.6, 100), eta_axis=(0.8, 1.6, 100),
-                     tol=1e-8, use_parity_blocks=True)
+                     tol=1e-8)
     start = time.time()
     records = run_sweep(spec)
     elapsed = time.time() - start

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dicke_lmg.cli import (CSV_HEADER, build_parser, main, read_csv, write_csv,
-                           write_json)
+from dicke_lmg.cli import CSV_HEADER, main, read_csv, write_csv, write_json
 from dicke_lmg.sweep import GridRecord
 
 
@@ -51,7 +50,7 @@ class TestExitCodes:
 
     def test_arpack_failure_is_a_convergence_error(self, capsys, failing_arpack):
         code = main(["solve", "--na", "20", "--delta", "0", "--lambda", "0.8",
-                     "--solver", "full", "--parity-blocks"])
+                     "--solver", "full"])
         assert code == 1
         assert "error: ConvergenceError: ARPACK did not converge" in capsys.readouterr().err
 
@@ -94,6 +93,31 @@ class TestSolve:
         assert report["solver"] == "full"
         assert report["n_cut_used"] >= 16
         assert report["tail_mass"] < 1e-10
+
+    @pytest.mark.parametrize("solver,keys", [
+        ("rwa", ["subspace_index", "at_transition"]),
+        ("full", ["n_cut_used", "tail_mass", "parity", "parity_gap"])])
+    def test_report_holds_the_solver_record(self, solver, keys, capsys):
+        # every field of the solver's record but its state, in both outputs
+        argv = ["solve", "--na", "2", "--delta", "0", "--lambda", "0.3",
+                "--solver", solver]
+        expected = ["solver", "energy", *keys, "cw", "entropy_bits"]
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == expected + ["leading_amplitudes"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].strip() for line in lines[:len(expected)]] == expected
+        assert lines[len(expected)].strip() == "leading terms:"
+
+    def test_superradiant_doublet_resolves_to_a_parity_cat(self, capsys):
+        # a definite-parity ground state keeps the two displaced coherent
+        # states of the doublet together: about one bit of entanglement
+        assert main(["solve", "--solver", "full", "--na", "5", "--delta", "0",
+                     "--lambda", "2", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["entropy_bits"] > 0.99
+        assert report["parity"] in (1, -1)
 
 
 class TestCritical:
@@ -218,22 +242,21 @@ class TestSweepCommand:
     _SMALL = ["sweep", "--na", "2", "--delta", "0", "--lambda-points", "2",
               "--eta-points", "2"]
 
-    def test_parity_blocks_can_be_turned_off(self, tmp_path, capsys):
-        parse = build_parser().parse_args
-        assert parse(self._SMALL + ["--out", "x"]).parity_blocks is True
-        assert parse(self._SMALL + ["--no-parity-blocks", "--out", "x"]).parity_blocks is False
-        out = str(tmp_path / "np.csv")
-        assert main(self._SMALL + ["--solver", "full", "--lambda-max", "0.3",
-                                   "--no-parity-blocks", "--out", out]) == 0
-        assert len(read_csv(out)) == 4
-        meta = json.loads(open(out + ".meta.json").read())
-        assert meta["config"]["parity_blocks"] is False
+    @pytest.mark.parametrize("flag", ["--parity-blocks", "--no-parity-blocks"])
+    def test_parity_flags_are_gone(self, flag, tmp_path, capsys):
+        # the full model has one solve, in parity blocks
+        out = tmp_path / "p.csv"
+        assert main(self._SMALL + ["--solver", "full", flag, "--out", str(out)]) == 2
+        assert main(["solve", "--na", "2", "--delta", "0", "--lambda", "0.3",
+                     "--solver", "full", flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
         out = tmp_path / "w.csv"
         assert main(self._SMALL + ["--workers", workers, "--out", str(out)]) == 2
-        assert "workers must be >= 1" in capsys.readouterr().err
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_inconsistent_delta_omega_is_usage_error(self, tmp_path, capsys):

@@ -123,14 +123,30 @@ class TestGroundFull:
         result = ground_full(params)
         assert result.energy == pytest.approx(-2.0, abs=1e-12)
 
-    def test_parity_blocks_agree_with_plain_solver(self):
+    def test_parity_blocks_agree_with_dense_eigh(self):
         params = _params(lam=0.4, eta=0.8)
-        plain = ground_full(params)
-        blocked = ground_full(params, use_parity_blocks=True)
-        assert blocked.energy == pytest.approx(plain.energy, abs=1e-9)
-        assert blocked.parity in (+1, -1)
-        assert blocked.parity_gap is not None and blocked.parity_gap >= 0
-        assert abs(abs(plain.state.overlap(blocked.state)) - 1.0) < 1e-6
+        result = ground_full(params)
+        vals, vecs = scipy.linalg.eigh(build_full(params, result.n_cut_used).matrix,
+                                       subset_by_index=[0, 0])
+        assert result.energy == pytest.approx(vals[0], abs=1e-12)
+        assert result.parity in (+1, -1) and result.parity_gap > 0
+        assert abs(abs(vecs[:, 0] @ result.state.amplitudes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n_atoms,lam,eta", [(5, 2.0, 0.0), (20, 1.0, 0.7)])
+    def test_definite_parity_in_the_superradiant_doublet(self, n_atoms, lam, eta):
+        # past lam_c1 the two parity ground levels are near-degenerate, so
+        # any mix of them is a ground vector of the whole matrix
+        result = ground_full(_params(lam=lam, eta=eta, n_atoms=n_atoms))
+        signs = parity_diagonal(ProductBasis(n_atoms=n_atoms, n_cut=result.n_cut_used))
+        mean = float(signs @ result.state.amplitudes ** 2)
+        assert abs(abs(mean) - 1.0) <= 1e-12
+        assert result.parity == round(mean)
+
+    def test_use_parity_blocks_accepts_only_true(self):
+        params = _params(lam=0.4, eta=0.8)
+        assert _outcome(params, use_parity_blocks=True) == _outcome(params)
+        with pytest.raises(ValueError, match="use_parity_blocks must be True"):
+            ground_full(params, use_parity_blocks=False)
 
     def test_ground_has_definite_parity(self):
         result = ground_full(_params(lam=0.6, eta=0.3))
@@ -190,15 +206,18 @@ class TestGroundFull:
             ground_full(_params())
 
     def test_sparse_path_matches_dense(self):
-        # dimension 4 * (n_cut + 1) exceeds the dense threshold
+        # each parity block, 2 * (n_cut + 1) states, exceeds the dense limit
         params = _params(lam=0.5, n_atoms=3)
-        n_cut = fullmodel._DENSE_LIMIT // 4 + 1
+        n_cut = fullmodel._DENSE_LIMIT // 2
         ham = build_full(params, n_cut)
-        assert ham.matrix.shape[0] > fullmodel._DENSE_LIMIT
-        dense_e = scipy.linalg.eigh(ham.matrix, subset_by_index=[0, 0],
-                                    eigvals_only=True)[0]
-        sparse_e = fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=False)[None][0]
-        assert sparse_e == pytest.approx(dense_e, abs=1e-8)
+        signs = parity_diagonal(ham.basis)
+        solved = fullmodel._solve_cutoff(params, n_cut)
+        for sector, sign in ((0, 1.0), (1, -1.0)):
+            idx = np.flatnonzero(signs == sign)
+            assert idx.size > fullmodel._DENSE_LIMIT
+            dense_e = scipy.linalg.eigh(ham.matrix[np.ix_(idx, idx)],
+                                        subset_by_index=[0, 0], eigvals_only=True)[0]
+            assert solved[sector][0] == pytest.approx(dense_e, abs=1e-8)
 
 
 def _kron_hamiltonian(params, n_cut, counter_rotating):
@@ -254,9 +273,9 @@ class TestBandBuilder:
                         assert np.array_equal(csr.toarray(), block)
 
     def test_block_is_csr_only_above_the_dense_limit(self, monkeypatch):
-        # the block's own dimension picks the solver: at N_a = 3 this n_cut
-        # gives parity blocks of at most _DENSE_LIMIT states but a full basis
-        # of twice that
+        # the block's own dimension picks the solver: at N_a = 3 each parity
+        # block holds 2 (n_cut + 1) states, at most _DENSE_LIMIT at this n_cut
+        # and more at the next
         calls = []
         monkeypatch.setattr(fullmodel, "_lowest_pair",
                             lambda m, start=None: calls.append(m)
@@ -264,12 +283,12 @@ class TestBandBuilder:
         params = _params(lam=0.5, n_atoms=3)
         n_cut = fullmodel._DENSE_LIMIT // 2 - 1
         half = 2 * (n_cut + 1)
-        assert half <= fullmodel._DENSE_LIMIT < 2 * half
-        fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=True)
+        assert half <= fullmodel._DENSE_LIMIT < half + 2
+        fullmodel._solve_cutoff(params, n_cut)
         assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(False, half)] * 2
         calls.clear()
-        fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=False)
-        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(True, 2 * half)]
+        fullmodel._solve_cutoff(params, n_cut + 1)
+        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(True, half + 2)] * 2
 
 
 # the full-solve-large-n benchmark strata: every block size from dense to
@@ -306,7 +325,7 @@ class TestWarmStart:
         # eigh of the larger block stays near 2000 states
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         n_cut = min(initial_cutoff(params), 2000 // (n_atoms + 1))
-        starts = fullmodel._solve_cutoff(params, n_cut, use_parity_blocks=True)
+        starts = fullmodel._solve_cutoff(params, n_cut)
         calls = _arpack_spy(monkeypatch)
         for sector in (0, 1):
             layout = fullmodel._layout(n_atoms, 2 * n_cut, sector)
@@ -324,12 +343,12 @@ class TestWarmStart:
         # the reference solves every block of up to 3000 states densely and
         # starts ARPACK cold above that, where a dense matrix would need GBs
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
-        warm = ground_full(params, use_parity_blocks=True)
+        warm = ground_full(params)
         lowest = fullmodel._lowest_pair
         monkeypatch.setattr(fullmodel, "_DENSE_LIMIT", 3000)
         monkeypatch.setattr(fullmodel, "_lowest_pair",
                             lambda block, start=None: lowest(block))
-        cold = ground_full(params, use_parity_blocks=True)
+        cold = ground_full(params)
         assert (warm.n_cut_used, warm.parity) == (cold.n_cut_used, cold.parity)
         assert abs(warm.energy - cold.energy) <= 1e-12 * max(1.0, abs(cold.energy))
         rho_warm, rho_cold = trace_out_field(warm.state), trace_out_field(cold.state)
@@ -345,7 +364,7 @@ class TestWarmStart:
     def test_each_doubling_starts_from_the_previous_block_vector(self, monkeypatch):
         # parity blocks of 2173 and 4326 states: every solve runs ARPACK
         calls = _arpack_spy(monkeypatch)
-        ground_full(_params(lam=0.45, eta=0.7, n_atoms=40), use_parity_blocks=True)
+        ground_full(_params(lam=0.45, eta=0.7, n_atoms=40))
         assert len(calls) >= 4
         for _, v0, _, _ in calls[:2]:
             assert np.allclose(v0, 1.0 / math.sqrt(v0.size), rtol=0, atol=1e-15)
@@ -359,7 +378,7 @@ class TestWarmStart:
         # at lam = 0 the ground vector of each sector is exact at every
         # cutoff, so the second cutoff starts ARPACK on an exact eigenvector
         calls = _arpack_spy(monkeypatch)
-        result = ground_full(_params(lam=0.0, n_atoms=60), use_parity_blocks=True)
+        result = ground_full(_params(lam=0.0, n_atoms=60))
         assert len(calls) == 4
         for block, v0, energy, _ in calls[2:]:
             assert np.linalg.norm(block @ v0 - energy * v0) < 1e-12
@@ -382,8 +401,7 @@ class TestWarmStart:
         monkeypatch.setattr(fullmodel, "_hamiltonian", spy)
         for lam in np.linspace(0.006, 0.6, 12):
             for eta in (0.8, 1.2, 1.6):
-                ground_full(_params(lam=lam, eta=eta, n_atoms=5),
-                            use_parity_blocks=True)
+                ground_full(_params(lam=lam, eta=eta, n_atoms=5))
         assert not any(sparse for sparse, _ in built)
         assert max(dim for _, dim in built) <= 123
 
@@ -395,8 +413,7 @@ class TestWarmStart:
             fullmodel._lowest_pair(block)
 
 
-def _parent_ground_full(params, tol=1e-8, tail_threshold=1e-10,
-                        use_parity_blocks=False):
+def _parent_ground_full(params, tol=1e-8, tail_threshold=1e-10):
     """The doubling loop that solves every cutoff from initial_cutoff on,
     as ground_full ran before it certified the first cutoff: (result tuple,
     cutoffs solved), or the ConvergenceError it raises."""
@@ -408,7 +425,7 @@ def _parent_ground_full(params, tol=1e-8, tail_threshold=1e-10,
     while n_cut <= fullmodel._N_CUT_MAX:
         solved.append(n_cut)
         results, vectors = {}, {}
-        for sector in ((0, 1) if use_parity_blocks else (None,)):
+        for sector in (0, 1):
             layout = fullmodel._layout(na, n_cut, sector)
             if layout.index.size > fullmodel._DENSE_LIMIT:
                 energy, vectors[sector] = fullmodel._lowest_pair(
@@ -423,15 +440,12 @@ def _parent_ground_full(params, tol=1e-8, tail_threshold=1e-10,
             vec[layout.index] = vectors[sector]
             results[sector] = (energy, vec)
         blocks = vectors
-        if use_parity_blocks:
-            (even, even_vec), (odd, odd_vec) = results[0], results[1]
-            gap = abs(even - odd)
-            if even <= odd + 1e-10 * max(1.0, abs(even)):
-                energy, vec, parity = even, even_vec, +1
-            else:
-                energy, vec, parity = odd, odd_vec, -1
+        (even, even_vec), (odd, odd_vec) = results[0], results[1]
+        gap = abs(even - odd)
+        if even <= odd + 1e-10 * max(1.0, abs(even)):
+            energy, vec, parity = even, even_vec, +1
         else:
-            (energy, vec), parity, gap = results[None], None, None
+            energy, vec, parity = odd, odd_vec, -1
         tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
         if (prev_energy is not None
                 and abs(energy - prev_energy) < tol * max(1.0, abs(energy))
@@ -467,40 +481,39 @@ def _cutoff_spy(monkeypatch):
 
 
 # weak, near-critical and superradiant couplings at both signs of eta and
-# delta; at N_a <= 8 the first doubled cutoff is dense up to lam 0.6 with
-# parity blocks and goes to ARPACK above it
+# delta; at N_a <= 8 the first doubled cutoff is dense up to lam 0.6 and goes
+# to ARPACK above it
 _CERTIFY_LAMS = (0.0, 0.05, 0.3, 0.6, 0.9, 1.2)
 _CERTIFY_SHAPES = ((0.7, 0.3), (-0.8, -0.4))
 
 
 def _dense_first_points():
-    """(params, use_parity_blocks) of the certify grid whose blocks at twice
-    the first cutoff are all dense."""
-    for n_atoms, lam, (eta, delta), parity in itertools.product(
-            range(1, 9), _CERTIFY_LAMS, _CERTIFY_SHAPES, (False, True)):
+    """The params of the certify grid whose blocks at twice the first cutoff
+    are both dense."""
+    for n_atoms, lam, (eta, delta) in itertools.product(
+            range(1, 9), _CERTIFY_LAMS, _CERTIFY_SHAPES):
         params = _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
         n0 = initial_cutoff(params)
-        if fullmodel._largest_block(n_atoms, 2 * n0, parity) <= fullmodel._DENSE_LIMIT:
-            yield params, parity
+        if fullmodel._largest_block(n_atoms, 2 * n0) <= fullmodel._DENSE_LIMIT:
+            yield params
 
 
 class TestCertifiedFirstCutoff:
     @pytest.mark.parametrize("n_atoms", range(1, 9))
     def test_matches_the_parent_loop_bit_for_bit(self, n_atoms):
-        for lam, (eta, delta), parity, tol in itertools.product(
-                _CERTIFY_LAMS, _CERTIFY_SHAPES, (False, True), (1e-8, 1e-10, 1e-13)):
+        for lam, (eta, delta), tol in itertools.product(
+                _CERTIFY_LAMS, _CERTIFY_SHAPES, (1e-8, 1e-10, 1e-13)):
             params = _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
-            expected, _ = _parent_ground_full(params, tol=tol,
-                                              use_parity_blocks=parity)
-            assert _outcome(params, tol=tol, use_parity_blocks=parity) == expected
+            expected, _ = _parent_ground_full(params, tol=tol)
+            assert _outcome(params, tol=tol) == expected
 
     def test_bound_holds_at_every_dense_point(self):
         points = list(_dense_first_points())
-        assert len(points) > 100
-        for params, parity in points:
+        assert len(points) > 80
+        for params in points:
             n0 = initial_cutoff(params)
-            big = fullmodel._solve_cutoff(params, 2 * n0, parity)
-            small = fullmodel._solve_cutoff(params, n0, parity)
+            big = fullmodel._solve_cutoff(params, 2 * n0)
+            small = fullmodel._solve_cutoff(params, n0)
             bounds = fullmodel._truncation_bounds(params, n0, big)
             assert bounds.keys() == big.keys()
             for sector, (beta, allowance) in bounds.items():
@@ -524,9 +537,9 @@ class TestCertifiedFirstCutoff:
         # at cutoffs far below initial_cutoff the energy change dwarfs the
         # rounding allowance, so beta alone must bound it, from above
         params = _params(lam=0.9, eta=0.7, delta=0.3, n_atoms=n_atoms)
-        for n_cut, parity in itertools.product((1, 2, 4, 6), (False, True)):
-            big = fullmodel._solve_cutoff(params, 2 * n_cut, parity)
-            small = fullmodel._solve_cutoff(params, n_cut, parity)
+        for n_cut in (1, 2, 4, 6):
+            big = fullmodel._solve_cutoff(params, 2 * n_cut)
+            small = fullmodel._solve_cutoff(params, n_cut)
             for sector, (beta, allowance) in fullmodel._truncation_bounds(
                     params, n_cut, big).items():
                 change = small[sector][0] - big[sector][0]
@@ -550,15 +563,14 @@ class TestCertifiedFirstCutoff:
                                                         monkeypatch):
         params = _params(lam=lam, eta=0.7, delta=0.3, n_atoms=n_atoms)
         n0 = initial_cutoff(params)
-        tail = ground_full(params, use_parity_blocks=True).tail_mass
+        tail = ground_full(params).tail_mass
         assert 0.0 < tail
         threshold = tail / 2
-        expected, parent_cutoffs = _parent_ground_full(
-            params, tail_threshold=threshold, use_parity_blocks=True)
+        expected, parent_cutoffs = _parent_ground_full(params,
+                                                       tail_threshold=threshold)
         assert parent_cutoffs[:3] == [n0, 2 * n0, 4 * n0]
         cutoffs = _cutoff_spy(monkeypatch)
-        assert _outcome(params, tail_threshold=threshold,
-                        use_parity_blocks=True) == expected
+        assert _outcome(params, tail_threshold=threshold) == expected
         assert cutoffs == parent_cutoffs[1:]
 
     @pytest.mark.parametrize("n_atoms,lam", [(2, 0.3), (5, 0.6), (7, 0.45)])
@@ -568,25 +580,23 @@ class TestCertifiedFirstCutoff:
         # tol * |E| below the rounding allowance: the bound cannot certify
         params = _params(lam=lam, eta=0.7, delta=0.3, n_atoms=n_atoms)
         n0 = initial_cutoff(params)
-        expected, parent_cutoffs = _parent_ground_full(params, tol=tol,
-                                                       use_parity_blocks=True)
+        expected, parent_cutoffs = _parent_ground_full(params, tol=tol)
         cutoffs = _cutoff_spy(monkeypatch)
-        assert _outcome(params, tol=tol, use_parity_blocks=True) == expected
+        assert _outcome(params, tol=tol) == expected
         assert cutoffs[:2] == [2 * n0, n0]
         assert sorted(cutoffs) == parent_cutoffs
 
-    @pytest.mark.parametrize("n_atoms,lam,parity", [
-        (8, 0.6, False),       # 585 states at twice the first cutoff
-        (10, 0.8, True),       # parity blocks of 688 states
-        (20, 0.45, True)])
+    @pytest.mark.parametrize("n_atoms,lam", [
+        (10, 0.8),             # parity blocks of 688 states
+        (20, 0.45)])
     def test_arpack_sized_blocks_solve_the_first_cutoff_first(
-            self, n_atoms, lam, parity, monkeypatch):
+            self, n_atoms, lam, monkeypatch):
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         n0 = initial_cutoff(params)
-        assert fullmodel._largest_block(n_atoms, 2 * n0, parity) > fullmodel._DENSE_LIMIT
-        expected, parent_cutoffs = _parent_ground_full(params, use_parity_blocks=parity)
+        assert fullmodel._largest_block(n_atoms, 2 * n0) > fullmodel._DENSE_LIMIT
+        expected, parent_cutoffs = _parent_ground_full(params)
         cutoffs = _cutoff_spy(monkeypatch)
-        assert _outcome(params, use_parity_blocks=parity) == expected
+        assert _outcome(params) == expected
         assert cutoffs == parent_cutoffs and cutoffs[:2] == [n0, 2 * n0]
 
     def test_dense_with_parity_blocks_only(self, monkeypatch):
@@ -595,23 +605,21 @@ class TestCertifiedFirstCutoff:
         params = _params(lam=0.6, eta=0.7, n_atoms=8)
         n0 = initial_cutoff(params)
         cutoffs = _cutoff_spy(monkeypatch)
-        ground_full(params, use_parity_blocks=True)
+        ground_full(params)
         assert cutoffs == [2 * n0]
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
     def test_largest_block_is_the_largest_layout(self, n_atoms):
         for n_cut in (1, 2, 7, 16, 33):
-            for parity, sectors in ((False, (None,)), (True, (0, 1))):
-                sizes = [fullmodel._layout(n_atoms, n_cut, s).index.size
-                         for s in sectors]
-                assert fullmodel._largest_block(n_atoms, n_cut, parity) == max(sizes)
+            sizes = [fullmodel._layout(n_atoms, n_cut, s).index.size for s in (0, 1)]
+            assert fullmodel._largest_block(n_atoms, n_cut) == max(sizes)
 
     def test_no_certificate_where_the_parity_choice_may_flip(self):
         # the even block at the tie margin of the odd one: the choice at the
         # first cutoff could go either way, so only a solve can tell
         params = _params(lam=0.6, eta=1.2, n_atoms=5)
         n0 = initial_cutoff(params)
-        solved = fullmodel._solve_cutoff(params, 2 * n0, True)
+        solved = fullmodel._solve_cutoff(params, 2 * n0)
         assert fullmodel._certifies(params, n0, solved, 1e-8)
         even = solved[0][0]
         for odd in (even - 1e-10 * abs(even), even - 1e-10 * abs(even) + 1e-13):
@@ -742,11 +750,11 @@ def _unloadable(path):
 @pytest.mark.parametrize("cdll", [_no_symbols, _unloadable])
 def test_solver_without_openblas_symbols(cdll, monkeypatch):
     params = _params(lam=0.8, eta=0.7, n_atoms=20)
-    pinned = ground_full(params, use_parity_blocks=True)
+    pinned = ground_full(params)
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert fullmodel._blas_threads.__wrapped__() is None
     monkeypatch.setattr(fullmodel, "_blas_threads", lambda: None)
-    plain = ground_full(params, use_parity_blocks=True)
+    plain = ground_full(params)
     assert (plain.energy, plain.n_cut_used, plain.parity) == (
         pinned.energy, pinned.n_cut_used, pinned.parity)
     assert np.array_equal(plain.state.amplitudes, pinned.state.amplitudes)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dicke_lmg.cli import read_csv, write_csv
 from dicke_lmg.model import ModelParams
 from dicke_lmg.rwa import critical_coupling_1
 from dicke_lmg.sweep import (BoundarySegment, SweepSpec, boundary_trace,
@@ -12,6 +13,17 @@ def _spec(**kw):
                 lam_axis=(0.1, 1.5, 8), eta_axis=(0.0, 0.5, 3), workers=1)
     base.update(kw)
     return SweepSpec(**base)
+
+
+def _csv_round_trip(records, tmp_path):
+    path = str(tmp_path / "records.csv")
+    write_csv(records, path)
+    return read_csv(path)
+
+
+def _full_spec():
+    """An N_a = 5 full-model grid with nine live boundary segments."""
+    return _spec(solver="full", n_atoms=5, eta_axis=(0.8, 1.6, 3))
 
 
 class TestSweepSpec:
@@ -46,6 +58,10 @@ class TestSweepSpec:
         dict(lam_axis=(0.1, 1.5, 3.0)),
         dict(eta_axis=(0.0, 0.5, 2.5)),
         dict(eta_axis=(0.0, 0.5, True)),
+        dict(workers=2.5),
+        dict(workers=True),
+        # the full model has one solve, in parity blocks
+        dict(solver="full", use_parity_blocks=False),
     ])
     def test_rejects_invalid_point_or_tolerance_at_construction(self, kwargs):
         with pytest.raises(ValueError):
@@ -165,6 +181,47 @@ class TestBoundaries:
         assert len(records) == 4
         assert all(r.flags == "noconv" for r in records)
         assert all(np.isnan(r.energy) for r in records)
+        assert boundary_trace(records, spec) == []
+        assert first_lambda_boundaries(records, spec) == {}
+
+    def test_full_boundaries_need_the_states(self, tmp_path):
+        # a CSV holds no states: read back, the full-model records cannot
+        # show a fidelity drop, so they are refused rather than reported flat
+        spec = _full_spec()
+        records = run_sweep(spec)
+        assert len(boundary_trace(records, spec)) == 9
+        assert first_lambda_boundaries(records, spec)
+        back = _csv_round_trip(records, tmp_path)
+        for extract in (boundary_trace, first_lambda_boundaries):
+            with pytest.raises(ValueError, match="states"):
+                extract(back, spec)
+
+    def test_flagged_full_points_keep_their_containment(self, monkeypatch):
+        from dicke_lmg import sweep as sweep_mod
+        from dicke_lmg.errors import ConvergenceError
+
+        solve = sweep_mod.fullmodel.ground_full
+
+        def fail_above(params, **kwargs):
+            if params.lam > 1.0:
+                raise ConvergenceError("forced failure")
+            return solve(params, **kwargs)
+
+        spec = _full_spec()
+        live = boundary_trace(run_sweep(spec), spec)
+        monkeypatch.setattr(sweep_mod.fullmodel, "ground_full", fail_above)
+        records = run_sweep(spec)
+        assert [r.flags for r in records].count("noconv") == 9
+        # every edge at a flagged point (lam 1.1, 1.3, 1.5) is skipped
+        kept = [s for s in live if s.lam < 1.0]
+        assert kept and boundary_trace(records, spec) == kept
+
+    def test_rwa_boundaries_survive_a_csv_round_trip(self, tmp_path):
+        spec = _spec(lam_axis=(0.5, 1.5, 21), eta_axis=(0.0, 0.2, 2))
+        records = run_sweep(spec)
+        back = _csv_round_trip(records, tmp_path)
+        assert boundary_trace(back, spec) == boundary_trace(records, spec) != []
+        assert first_lambda_boundaries(back, spec) == first_lambda_boundaries(records, spec)
 
     def test_arpack_failure_is_flagged_noconv(self, failing_arpack):
         # parity blocks of about 1000 states at N_a = 20 go through ARPACK

@@ -61,7 +61,7 @@ def large_n():
                                  n_atoms=n_atoms)
             start = time.perf_counter()
             try:
-                n_cut = fullmodel.ground_full(params, use_parity_blocks=True).n_cut_used
+                n_cut = fullmodel.ground_full(params).n_cut_used
             except ConvergenceError:
                 n_cut = "cap"
             cells.append(f"{time.perf_counter() - start:.3f} s ({n_cut})")
