@@ -9,14 +9,13 @@ bisection against closed forms for the critical couplings.
 
 from __future__ import annotations
 
-import inspect
 import math
 
 import numpy as np
 
 from . import classical, entanglement, fullmodel, rwa
-from .model import (ModelParams, ProductBasis, PureState, jx_matrix, jy_matrix,
-                    jz_matrix)
+from .model import (ModelParams, ProductBasis, PureState, check_count,
+                    jx_matrix, jy_matrix, jz_matrix)
 
 
 # ----------------------------------------------------------------- oracles
@@ -275,15 +274,28 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str] | None = None, seed: int = 0,
-               **kwargs) -> dict[str, tuple[bool, str]]:
-    selected = names or list(SUITES)
-    results = {}
-    for name in selected:
+# the largest oracle ensemble: pair_reduction_bruteforce holds 3 x 2^N_a
+# complex amplitudes, 3 MB at 16 qubits and 48 GiB at 30
+_MAX_ORACLE_ATOMS = 16
+
+
+def _check_inputs(names: list[str], seed: int, n_atoms: int | None) -> None:
+    """The one check of run_suites' inputs, before any suite runs: known suite
+    names, a seed >= 0 and an oracle ensemble (n_atoms, None for the default)
+    of 2 to _MAX_ORACLE_ATOMS qubits. The CLI's check calls it too."""
+    for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        func = SUITES[name]
-        accepted = inspect.signature(func).parameters
-        extra = {k: v for k, v in kwargs.items() if k in accepted and v is not None}
-        results[name] = func(seed=seed, **extra)
-    return results
+    check_count("seed", seed, 0)
+    if n_atoms is not None:
+        check_count("n_atoms", n_atoms, 2)
+        if n_atoms > _MAX_ORACLE_ATOMS:
+            raise ValueError(f"n_atoms must be <= {_MAX_ORACLE_ATOMS}, got {n_atoms!r}")
+
+
+def run_suites(names: list[str] | None = None, seed: int = 0,
+               n_atoms: int | None = None) -> dict[str, tuple[bool, str]]:
+    selected = names or list(SUITES)
+    _check_inputs(selected, seed, n_atoms)
+    sized = {} if n_atoms is None else {"concurrence-oracle": {"n_atoms": n_atoms}}
+    return {name: SUITES[name](seed=seed, **sized.get(name, {})) for name in selected}

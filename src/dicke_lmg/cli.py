@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
         solver=args.solver, omega_f=args.wf, delta=_delta(args), n_atoms=args.na,
         lam_axis=(args.lam_min, args.lam_max, args.lam_points),
         eta_axis=(args.eta_min, args.eta_max, args.eta_points),
-        tol=args.tol, workers=args.workers)
+        tol=args.tol)
     # a sweep can take hours: refuse an unwritable destination before it starts
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
@@ -225,13 +225,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    names = [args.suite] if args.suite else None
+    names = [args.suite] if args.suite else list(checks.SUITES)
+    _usage(checks._check_inputs, names=names, seed=args.seed, n_atoms=args.na)
     results = checks.run_suites(names, seed=args.seed, n_atoms=args.na)
-    all_ok = True
     for name, (ok, msg) in results.items():
-        all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name:<20} {msg}")
-    return 0 if all_ok else 1
+    return 0 if all(ok for ok, _ in results.values()) else 1
 
 
 # ------------------------------------------------------------------ parser
@@ -275,16 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float, default=4.0)
     p.add_argument("--eta-points", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True, help="output data file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", help="run self-test suites")
-    p.add_argument("--suite", default=None,
-                   help=f"one of {sorted(checks.SUITES)} (default: all)")
+    p.add_argument("--suite", default=None, choices=sorted(checks.SUITES),
+                   help="one suite (default: all)")
     p.add_argument("--na", type=int, default=None,
-                   help="ensemble size for the concurrence oracle")
+                   help="ensemble size for the concurrence oracle "
+                        f"(2 to {checks._MAX_ORACLE_ATOMS})")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
     return parser

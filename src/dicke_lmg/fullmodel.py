@@ -23,6 +23,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -58,7 +59,9 @@ class ConvergedGround:
 
     ``tail_mass`` is the probability on the two highest photon layers of the
     converged cutoff; ``parity`` is the ground block's parity, +1 or -1, and
-    ``parity_gap`` the distance between the two blocks' lowest energies.
+    ``parity_gap`` the distance between the two blocks' lowest energies. With
+    a gap inside the tie window of :func:`_even_wins`, ``parity`` is the even
+    choice of the tie rule, not a resolved order of the two levels.
     """
 
     energy: float
@@ -241,11 +244,7 @@ def _blas_threads():
     return get, set_
 
 
-# the thread count is one setting of the whole process, so the state of its
-# pin is too
 _blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved = 1
 
 
 @contextlib.contextmanager
@@ -253,27 +252,21 @@ def _one_blas_thread():
     """Run scipy's OpenBLAS on one thread inside, restoring the caller's count
     on exit. A dense block is too small to split: on two cores a second scipy
     thread contends with numpy's separate OpenBLAS pool when that pool still
-    spins from a call just before (README). Concurrent callers (the threads of
-    a sweep with workers > 1) share one pin: the first in saves the count, the
-    last out restores it."""
-    global _blas_depth, _blas_saved
+    spins from a call just before (README). The count is one setting of the
+    whole process, so the lock is held from the save to the restore: callers
+    that solve from their own threads take turns."""
     calls = _blas_threads()
     if calls is None:
         yield
         return
     get, set_ = calls
     with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                set_(_blas_saved)
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
 
 
 def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -391,10 +384,16 @@ def _check_convergence(**values: float) -> None:
             raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
-def _check_parity_blocks(use_parity_blocks: bool) -> None:
-    """The one check of the kept keyword, for ground_full and SweepSpec."""
+def _check_kept(use_parity_blocks: bool = True, workers: int | None = None) -> None:
+    """The one check of the kept keywords, for ground_full and SweepSpec: the
+    full model is solved in parity blocks and sweeps run serially, so they
+    accept only use_parity_blocks True and workers None or an integer 1."""
     if use_parity_blocks is not True:
         raise ValueError(f"use_parity_blocks must be True, got {use_parity_blocks!r}")
+    if workers is not None and (not isinstance(workers, numbers.Integral)
+                                or isinstance(workers, bool) or workers != 1):
+        raise ValueError(f"workers must be None or 1, as sweeps run serially, "
+                         f"got {workers!r}")
 
 
 def ground_full(params: ModelParams, tol: float = 1e-8,
@@ -418,7 +417,7 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     that still pass it.
     """
     _check_convergence(tol=tol, tail_threshold=tail_threshold)
-    _check_parity_blocks(use_parity_blocks)
+    _check_kept(use_parity_blocks=use_parity_blocks)
     n_cut = initial_cutoff(params)
     if 2 * n_cut > _N_CUT_MAX:
         raise _cap_exceeded(params)

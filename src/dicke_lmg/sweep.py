@@ -2,14 +2,12 @@
 
 Evaluates the ground state of either solver at every grid point, records the
 energy, phase label and entanglement measures, and extracts phase boundaries
-for comparison with the analytic critical-coupling curves. Grid points are
-independent tasks; results are collected by grid index so the output order
-(eta-major, lam-ascending) never depends on the parallel execution order.
+for comparison with the analytic critical-coupling curves. Points are
+evaluated serially, in the output order: eta-major, lam-ascending.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +23,9 @@ _FIDELITY_JUMP = 0.5
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid description: fixed physical parameters plus the two swept axes,
-    each given as (min, max, count). ``workers`` None or 1 evaluates the
-    points serially; a larger count runs them on that many threads, which
-    the interpreter lock keeps from paying off at small matrix sizes."""
+    each given as (min, max, count). Sweeps run serially: ``workers`` and
+    ``use_parity_blocks`` are kept for callers that pass them, and accept only
+    None or 1 and True."""
 
     solver: str                      # "rwa" | "full"
     omega_f: float
@@ -37,7 +35,7 @@ class SweepSpec:
     eta_axis: tuple[float, float, int]
     tol: float = 1e-8
     tail_threshold: float = 1e-10
-    workers: int | None = None
+    workers: int | None = None       # None or 1 only
     use_parity_blocks: bool = True   # True only, as in ground_full
 
     def __post_init__(self):
@@ -53,9 +51,8 @@ class SweepSpec:
             self._params(self.lam_axis[corner], self.eta_axis[corner])
         fullmodel._check_convergence(tol=self.tol,
                                      tail_threshold=self.tail_threshold)
-        if self.workers is not None:
-            check_count("workers", self.workers, 1)
-        fullmodel._check_parity_blocks(self.use_parity_blocks)
+        fullmodel._check_kept(use_parity_blocks=self.use_parity_blocks,
+                              workers=self.workers)
 
     def _params(self, lam: float, eta: float) -> ModelParams:
         return ModelParams(omega_f=self.omega_f, delta=self.delta, eta=eta,
@@ -126,19 +123,9 @@ def _eval_point(spec: SweepSpec, lam: float, eta: float) -> GridRecord:
 
 
 def run_sweep(spec: SweepSpec) -> list[GridRecord]:
-    """Evaluate the whole grid; output is eta-major, lam-ascending, and
-    identical regardless of the parallelism width."""
-    points = [(float(eta), float(lam))
-              for eta in spec.eta_values for lam in spec.lam_values]
-    if (spec.workers or 1) == 1:
-        return [_eval_point(spec, lam, eta) for eta, lam in points]
-    results: list[GridRecord | None] = [None] * len(points)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        futures = {pool.submit(_eval_point, spec, lam, eta): i
-                   for i, (eta, lam) in enumerate(points)}
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results   # type: ignore[return-value]
+    """Evaluate the whole grid serially; output is eta-major, lam-ascending."""
+    return [_eval_point(spec, float(lam), float(eta))
+            for eta in spec.eta_values for lam in spec.lam_values]
 
 
 def _grid(records: list[GridRecord], spec: SweepSpec) -> list[list[GridRecord]]:

@@ -218,8 +218,7 @@ class TestSweepCommand:
         code = main(["sweep", "--na", "2", "--delta", "0",
                      "--lambda-min", "0.2", "--lambda-max", "1.4",
                      "--lambda-points", "7", "--eta-min", "0.0",
-                     "--eta-max", "0.2", "--eta-points", "2",
-                     "--workers", "2", "--out", out])
+                     "--eta-max", "0.2", "--eta-points", "2", "--out", out])
         assert code == 0
         records = read_csv(out)
         assert len(records) == 14
@@ -235,8 +234,8 @@ class TestSweepCommand:
                 "--eta-max", "0.2", "--eta-points", "2"]
         out_a = str(tmp_path / "a.csv")
         out_b = str(tmp_path / "b.csv")
-        assert main(args + ["--workers", "1", "--out", out_a]) == 0
-        assert main(args + ["--workers", "4", "--out", out_b]) == 0
+        assert main(args + ["--out", out_a]) == 0
+        assert main(args + ["--out", out_b]) == 0
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
     _SMALL = ["sweep", "--na", "2", "--delta", "0", "--lambda-points", "2",
@@ -252,11 +251,15 @@ class TestSweepCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("workers", ["0", "-1", "1", "2"])
+    def test_workers_flag_is_gone(self, tmp_path, capsys, workers):
+        # sweeps run serially, from the flag or from a config file
         out = tmp_path / "w.csv"
         assert main(self._SMALL + ["--workers", workers, "--out", str(out)]) == 2
-        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"workers={workers}\n")
+        assert main(["--config", str(cfg)] + self._SMALL + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("unrecognized arguments: --workers") == 2
         assert not out.exists()
 
     def test_inconsistent_delta_omega_is_usage_error(self, tmp_path, capsys):
@@ -317,4 +320,27 @@ class TestCheckCommand:
         assert "[PASS] commutators" in capsys.readouterr().out
 
     def test_unknown_suite_fails(self, capsys):
-        assert main(["check", "--suite", "nope"]) == 1
+        assert main(["check", "--suite", "nope"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,kwargs,message", [
+        ("--na 1", dict(n_atoms=1), "n_atoms must be an integer >= 2, got 1"),
+        ("--na 17", dict(n_atoms=17), "n_atoms must be <= 16, got 17"),
+        ("--seed -1", dict(seed=-1), "seed must be an integer >= 0, got -1"),
+    ])
+    def test_invalid_input_is_usage_error_before_any_suite(
+            self, flags, kwargs, message, monkeypatch, capsys):
+        # no suite runs, so the over-cap ensemble is never built
+        from dicke_lmg import checks
+
+        def no_suite(**kwargs):
+            raise AssertionError("ran a suite on rejected input")
+
+        for name in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, name, no_suite)
+        for suite in ([], ["--suite", "concurrence-oracle"]):
+            assert main(["check"] + suite + flags.split()) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+        with pytest.raises(ValueError, match=message):
+            checks.run_suites(**kwargs)

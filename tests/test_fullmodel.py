@@ -142,6 +142,15 @@ class TestGroundFull:
         assert abs(abs(mean) - 1.0) <= 1e-12
         assert result.parity == round(mean)
 
+    def test_parity_inside_the_tie_window_is_the_even_choice(self):
+        # N_a = 5 at lam = 2: the doublet's gap lies within _even_wins' window,
+        # so parity is the tie rule's even choice, not a resolved level order
+        result = ground_full(_params(lam=2.0, n_atoms=5))
+        assert result.parity == +1
+        assert result.parity_gap <= 1e-10 * max(1.0, abs(result.energy))
+        signs = parity_diagonal(ProductBasis(n_atoms=5, n_cut=result.n_cut_used))
+        assert abs(float(signs @ result.state.amplitudes ** 2) - 1.0) <= 1e-12
+
     def test_use_parity_blocks_accepts_only_true(self):
         params = _params(lam=0.4, eta=0.8)
         assert _outcome(params, use_parity_blocks=True) == _outcome(params)
@@ -552,7 +561,7 @@ class TestCertifiedFirstCutoff:
         eigh = scipy.linalg.eigh
         monkeypatch.setattr(scipy.linalg, "eigh",
                             lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
-        records = run_sweep(_sweep_spec(workers=None))
+        records = run_sweep(_sweep_spec())
         assert len(records) == 25 and not any(r.flags for r in records)
         assert len(cutoffs) == 25 and len(calls) == 50
         assert sorted(cutoffs) == sorted(
@@ -667,10 +676,9 @@ def _blocks():
     return dense, csr
 
 
-def _sweep_spec(workers):
+def _sweep_spec():
     return SweepSpec(solver="full", omega_f=1.0, delta=0.0, n_atoms=5,
-                     lam_axis=(0.006, 0.6, 5), eta_axis=(0.8, 1.6, 5),
-                     workers=workers)
+                     lam_axis=(0.006, 0.6, 5), eta_axis=(0.8, 1.6, 5))
 
 
 @needs_openblas
@@ -694,12 +702,11 @@ class TestBlasThreads:
         monkeypatch.setattr(scipy.linalg, "eigh", fail)
         with pytest.raises(np.linalg.LinAlgError):
             fullmodel._lowest_pair(_blocks()[0])
-        assert blas_count() == 2 and fullmodel._blas_depth == 0
+        assert blas_count() == 2
 
     def test_concurrent_pins_share_one_count(self, blas_count):
-        # more threads than cores, switching often: a lost update of the
-        # depth would let one thread restore 2 while another is inside, or
-        # leave 1 behind
+        # more threads than cores, switching often: a restore that ran while
+        # another thread is inside would show 2 there, or leave 1 behind
         inside = []
 
         def pin_repeatedly():
@@ -719,21 +726,44 @@ class TestBlasThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert inside == [1] * 1600
-        assert blas_count() == 2 and fullmodel._blas_depth == 0
+        assert blas_count() == 2
 
-    def test_threaded_sweep_leaves_the_callers_count(self, blas_count,
+    def test_callers_on_their_own_threads_take_turns(self, blas_count,
                                                      monkeypatch):
+        # N_a = 5 points whose blocks are all dense, solved by two user
+        # threads at once: the lock serialises their pins
+        points = 3 * [_params(lam=lam, eta=eta, n_atoms=5) for lam, eta in
+                      ((0.05, 0.8), (0.3, 1.2), (0.45, 1.6), (0.6, 1.0))]
+        serial = [_outcome(params) for params in points]
         seen = _thread_spy(monkeypatch, scipy.linalg, "eigh", blas_count)
-        records = run_sweep(_sweep_spec(workers=2))
-        assert not any(r.flags for r in records)
-        assert set(seen) == {1}
+        start = threading.Barrier(2, timeout=60)
+        results = {}
+
+        def solve(name):
+            start.wait()
+            results[name] = [_outcome(params) for params in points]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(name,))
+                       for name in ("a", "b")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {"a": serial, "b": serial}
+        assert seen and set(seen) == {1}
         assert blas_count() == 2
 
     def test_pin_leaves_the_sweep_csv_bytes(self, tmp_path, monkeypatch):
         pinned, plain = tmp_path / "pinned.csv", tmp_path / "plain.csv"
-        write_csv(run_sweep(_sweep_spec(workers=None)), str(pinned))
+        write_csv(run_sweep(_sweep_spec()), str(pinned))
         monkeypatch.setattr(fullmodel, "_one_blas_thread", contextlib.nullcontext)
-        write_csv(run_sweep(_sweep_spec(workers=None)), str(plain))
+        write_csv(run_sweep(_sweep_spec()), str(plain))
         assert pinned.read_bytes() == plain.read_bytes()
 
 
