@@ -102,7 +102,12 @@ def reduce_to_two_qubits(rho_a: np.ndarray, n_atoms: int) -> np.ndarray:
 
 def wootters_concurrence(rho2: np.ndarray) -> float:
     """Two-qubit concurrence C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))
-    from the spin-flipped matrix rho (sy x sy) rho* (sy x sy)."""
+    from the spin-flipped matrix rho (sy x sy) rho* (sy x sy).
+
+    C adds square roots of eigenvalues that vanish in exact arithmetic, so
+    its floor is sqrt(eps), not eps: a 1e-17 rounding in rho moves C by
+    about 3e-9, and no comparison of two C values can be tighter than about
+    1e-8."""
     rho2 = np.asarray(rho2)
     if rho2.shape != (4, 4):
         raise ValueError("expected a 4x4 two-qubit density matrix")

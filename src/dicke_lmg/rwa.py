@@ -12,14 +12,16 @@ energies of contiguous subspaces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy.optimize
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import UnboundedSearchError
-from .model import ModelParams, PureState, fix_sign
+from .model import ModelParams, PureState, check_count, fix_sign
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,13 @@ class GroundStateResult:
 # the at-transition flag; the guard and the proven cap need it <= 1e-3.
 # Batched energies within _GUARD tie windows plus _ROUNDING (relative) of the
 # lowest are re-solved exactly; _STACK_FLOATS caps one padded eigvalsh stack.
-# transition_ladder bisects a crossing to _BISECT_TOL (relative).
+# transition_ladder finds a crossing by Brent's method to _ROOT_TOL
+# (absolute) plus brentq's default 4 eps (relative).
 _TIE_TOL = 1e-10
 _GUARD = 100.0
 _ROUNDING = 1e-12
 _STACK_FLOATS = 1 << 14
-_BISECT_TOL = 1e-12
+_ROOT_TOL = 1e-14
 
 
 def _energy_offset(params: ModelParams, n):
@@ -212,15 +215,16 @@ def _lowest(params: ModelParams, ns: np.ndarray, lams: np.ndarray) -> np.ndarray
     return _energy_offset(params, ns) + lowest
 
 
-def _scan(params: ModelParams, lams) -> list[np.ndarray]:
+def _scan(params: ModelParams, lams) -> np.ndarray:
     """Candidate ground subspaces at each coupling in ``lams``.
 
     Solves blocks n = 0..n_hi of every coupling in one batch (:func:`_lowest`),
     n_hi starting at 2 N_a + 4 and doubling for the couplings not yet
     certified: no block past n_hi can lie within the guard of its lowest
     batched energy (:meth:`_TailBound.certifies`), so none can win or tie.
-    Returns, per coupling, the ascending indices whose batched energy lies
-    within the guard of the lowest.
+    Returns a boolean matrix, one row per coupling and one column per
+    subspace n = 0..n_hi: whether the batched energy lies within the guard
+    of the row's lowest.
 
     Raises UnboundedSearchError if a coupling is not certified by the proven
     cap :meth:`_TailBound.default_n_max`, which only a fault in the bound can
@@ -246,8 +250,7 @@ def _scan(params: ModelParams, lams) -> list[np.ndarray]:
                 f"the stopping rule (lam = {lams[todo[0]]}, omega_f = {params.omega_f})")
         n_hi = min(2 * n_hi + 1, n_cap)
     best = energies.min(axis=1)
-    window = best + tail.guard(best)
-    return [np.flatnonzero(row <= top) for row, top in zip(energies, window)]
+    return energies <= (best + tail.guard(best))[:, None]
 
 
 def _decide(params: ModelParams,
@@ -277,14 +280,20 @@ def ground_state(params: ModelParams) -> GroundStateResult:
     those are re-solved with :func:`tridiag_ground`. Ties between subspaces
     are broken toward smaller n and flagged as sitting at a transition.
     """
-    n, energy, vec, at_transition = _decide(params, _scan(params, [params.lam])[0])
+    candidates = np.flatnonzero(_scan(params, [params.lam])[0])
+    n, energy, vec, at_transition = _decide(params, candidates)
     return GroundStateResult(energy=energy, state=_subspace_state(params.n_atoms, n, vec),
                              subspace_index=n, at_transition=at_transition)
 
 
 def subspace_energy(params: ModelParams, n: int) -> float:
-    """Ground energy of subspace n alone (offset included)."""
-    return tridiag_ground(build_subspace(params, n))[0]
+    """Ground energy of subspace n alone (offset included), the eigenvalue
+    only: the same bits as :func:`tridiag_ground` without its eigenvector."""
+    mat = build_subspace(params, n)
+    if mat.size == 1:
+        return mat.energy_offset + float(mat.diag[0])
+    vals = eigvalsh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=(0, 0))
+    return mat.energy_offset + float(vals[0])
 
 
 def critical_coupling_1(params: ModelParams) -> float:
@@ -329,8 +338,7 @@ def _check_ladder(lam_range: tuple[float, float], scan_points: int) -> None:
     lo, hi = lam_range
     if not (0 < lo < hi) or not math.isfinite(hi):
         raise ValueError("lam range must be positive, ordered, and finite")
-    if scan_points < 2:
-        raise ValueError(f"scan points must be >= 2, got {scan_points}")
+    check_count("scan points", scan_points, 2)
 
 
 def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
@@ -338,33 +346,35 @@ def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
     """Locate first-order transitions (ground-subspace changes) in a lam range.
 
     Scans the range on a uniform grid in one batched scan, giving each grid
-    point the subspace index :func:`ground_state` gives it, then bisects
-    E_g^(n) - E_g^(n') between grid points where the ground subspace index
-    changes. Returns ascending (lam*, n_before, n_after) triples; empty if no
+    point the subspace index :func:`ground_state` gives it. In each grid
+    cell where that index changes from n to n', Brent's method
+    (``scipy.optimize.brentq``) finds the root of E_g^(n) - E_g^(n') to
+    _ROOT_TOL + 4 eps |lam*|. A cell whose gap does not change sign gives
+    its left end if the gap is zero there and its right end otherwise.
+    Returns ascending (lam*, n_before, n_after) triples; empty if no
     crossing lies in range.
     """
     _check_ladder(lam_range, scan_points)
     grid = np.linspace(*lam_range, scan_points)
-    indices = [int(c[0]) if c.size == 1 else _decide(params.replace(lam=float(l)), c)[0]
-               for l, c in zip(grid, _scan(params, grid))]
+    held = _scan(params, grid)
+    indices = held.argmax(axis=1)
+    for i in np.flatnonzero(held.sum(axis=1) > 1):
+        indices[i] = _decide(params.replace(lam=float(grid[i])), np.flatnonzero(held[i]))[0]
 
     crossings = []
-    for i in range(len(grid) - 1):
-        n1, n2 = indices[i], indices[i + 1]
-        if n1 == n2:
-            continue
+    for i in np.flatnonzero(indices[:-1] != indices[1:]).tolist():
+        n1, n2 = int(indices[i]), int(indices[i + 1])
         a, b = float(grid[i]), float(grid[i + 1])
 
+        @functools.cache   # brentq evaluates both ends again
         def gap(lam: float) -> float:
             p = params.replace(lam=lam)
             return subspace_energy(p, n1) - subspace_energy(p, n2)
 
-        fa = gap(a)
-        while b - a > _BISECT_TOL * max(1.0, b):
-            mid = 0.5 * (a + b)
-            if gap(mid) * fa > 0:
-                a = mid
-            else:
-                b = mid
-        crossings.append((0.5 * (a + b), n1, n2))
+        # brentq returns a when gap(a) == 0 but raises when both ends share a sign
+        if gap(a) * gap(b) > 0:
+            lam_star = b
+        else:
+            lam_star = scipy.optimize.brentq(gap, a, b, xtol=_ROOT_TOL)
+        crossings.append((lam_star, n1, n2))
     return crossings

@@ -228,6 +228,18 @@ class TestTransitionLadder:
         with pytest.raises(ValueError):
             transition_ladder(_params(), (0.0, 1.0))
 
+    @pytest.mark.parametrize("points", [2.5, 3.0, True])
+    def test_rejects_scan_points_that_are_not_a_count(self, points):
+        with pytest.raises(ValueError, match="scan points must be an integer"):
+            transition_ladder(_params(), (0.5, 1.0), scan_points=points)
+
+    def test_subspace_energy_has_the_eigenpair_bits(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            params = _random_params(rng)
+            n = int(rng.integers(0, 3 * params.n_atoms + 2))
+            assert subspace_energy(params, n) == tridiag_ground(build_subspace(params, n))[0]
+
 
 def _random_params(rng):
     return ModelParams(omega_f=rng.uniform(0.5, 2.0), delta=rng.uniform(-1.5, 1.5),
@@ -335,6 +347,11 @@ def _sequential_ladder(params, lam_range, scan_points=400, bisect_tol=1e-12):
     return crossings
 
 
+_LADDER_WINDOWS = [(_params(eta=eta, n_atoms=na), window)
+                   for na, eta, window in ((2, 0.5, (0.5, 1.1)), (3, 0.0, (0.5, 2.5)),
+                                           (5, 0.3, (0.7, 1.1)), (6, -0.4, (0.9, 1.3)))]
+
+
 class TestBatchedScanMatchesSequentialRule:
     def _assert_same(self, params):
         energy, n, vec, at_transition = _sequential_scan(params)
@@ -373,8 +390,56 @@ class TestBatchedScanMatchesSequentialRule:
             assert flagged >= 10
 
     def test_ladder_matches_sequential_scan_and_bisection(self):
-        for na, eta, window in ((2, 0.5, (0.5, 1.1)), (3, 0.0, (0.5, 2.5)),
-                                (5, 0.3, (0.7, 1.1)), (6, -0.4, (0.9, 1.3))):
-            params = _params(eta=eta, n_atoms=na)
+        # Brent's method moves only the last bits of each crossing: the same
+        # crossings and subspace pairs, each within the bisection's 1e-12
+        for params, window in _LADDER_WINDOWS:
             ladder = transition_ladder(params, window, scan_points=150)
-            assert ladder and ladder == _sequential_ladder(params, window, scan_points=150)
+            oracle = _sequential_ladder(params, window, scan_points=150)
+            assert ladder and len(ladder) == len(oracle)
+            for (lam, n1, n2), (lam_b, m1, m2) in zip(ladder, oracle):
+                assert (n1, n2) == (m1, m2)
+                assert abs(lam - lam_b) <= 1e-12 * max(1.0, lam)
+
+    def test_gap_changes_sign_across_each_crossing(self):
+        for params, window in _LADDER_WINDOWS:
+            for lam, n1, n2 in transition_ladder(params, window, scan_points=150):
+                below, above = (subspace_energy(params.replace(lam=l), n1)
+                                - subspace_energy(params.replace(lam=l), n2)
+                                for l in (lam - 1e-12, lam + 1e-12))
+                assert below * above < 0
+
+    def test_root_finder_budget(self, monkeypatch):
+        # bisection to 1e-12 spends about 90 subspace_energy calls a crossing
+        calls = []
+        energy = rwa.subspace_energy
+
+        def counted(params, n):
+            calls.append(n)
+            return energy(params, n)
+
+        monkeypatch.setattr(rwa, "subspace_energy", counted)
+        for params, window in _LADDER_WINDOWS:
+            del calls[:]
+            ladder = transition_ladder(params, window, scan_points=150)
+            assert ladder and len(calls) <= 24 * len(ladder)
+
+    @pytest.mark.parametrize("energy, end", [(lambda params, n: 0.0, 0),
+                                             (lambda params, n: float(n), 1)])
+    def test_cell_without_sign_change_gives_the_bisection_end(self, monkeypatch,
+                                                               energy, end):
+        # a gap of 0 at the left end gives that end; a gap of one sign at
+        # both ends gives the right end, as the bisection oracle does
+        params, window = _LADDER_WINDOWS[1]
+        grid = np.linspace(*window, 150)
+        cells = [int(np.searchsorted(grid, lam)) - 1
+                 for lam, _, _ in transition_ladder(params, window, scan_points=150)]
+        monkeypatch.setattr(rwa, "subspace_energy", energy)
+        monkeypatch.setitem(globals(), "subspace_energy", energy)
+        ladder = transition_ladder(params, window, scan_points=150)
+        oracle = _sequential_ladder(params, window, scan_points=150)
+        assert len(cells) >= 2
+        assert [lam for lam, _, _ in ladder] == [float(grid[i + end]) for i in cells]
+        assert len(ladder) == len(oracle)
+        for (lam, n1, n2), (lam_b, m1, m2) in zip(ladder, oracle):
+            assert (n1, n2) == (m1, m2)
+            assert abs(lam - lam_b) <= 1e-12 * max(1.0, lam)
