@@ -15,7 +15,7 @@ from .fullmodel import (ConvergedGround, FullHamiltonian, build_full,
 from .model import DickeBasis, ModelParams, ProductBasis, PureState
 from .rwa import (GroundStateResult, TridiagMatrix, amplitude_h, build_subspace,
                   critical_coupling_1, first_nonvacuum_state, ground_state,
-                  transition_ladder, tridiag_ground)
+                  ground_states, transition_ladder, tridiag_ground)
 from .sweep import (BoundarySegment, GridRecord, SweepSpec, boundary_trace,
                     first_lambda_boundaries, run_sweep)
 

@@ -25,7 +25,7 @@ from importlib import metadata
 import numpy as np
 
 from . import checks, classical, fullmodel, rwa, sweep as sweep_mod
-from .model import ModelParams
+from .model import ModelParams, check_count
 
 CSV_HEADER = "lambda,eta,energy,phase_index,cw,entropy_bits,flags"
 
@@ -93,6 +93,7 @@ def cmd_solve(args) -> int:
     from .entanglement import cw_of_ground, entropy_of_ground
 
     params = _build_params(args)
+    _usage(check_count, name="n_atoms", value=params.n_atoms, least=2)   # for C_w
     _usage(fullmodel._check_convergence, tol=args.tol)
     if args.solver == "rwa":
         result = rwa.ground_state(params)

@@ -273,17 +273,25 @@ def _decide(params: ModelParams,
     return n, best_energy, vec, at_transition
 
 
-def ground_state(params: ModelParams) -> GroundStateResult:
-    """Global RWA ground state over all excitation subspaces.
+def ground_states(params: ModelParams, lams) -> list[GroundStateResult]:
+    """Global RWA ground state at each coupling in ``lams`` (``params.lam`` is
+    not read). One batched scan (:func:`_scan`) finds the subspaces that can
+    win; only those are re-solved with :func:`tridiag_ground`. Ties go to the
+    smaller n and are flagged as sitting at a transition."""
+    results = []
+    for lam, held in zip(lams, _scan(params, lams)):
+        n, energy, vec, at_transition = _decide(params.replace(lam=float(lam)),
+                                                np.flatnonzero(held))
+        results.append(GroundStateResult(
+            energy=energy, state=_subspace_state(params.n_atoms, n, vec),
+            subspace_index=n, at_transition=at_transition))
+    return results
 
-    A batched scan (:func:`_scan`) finds the subspaces that can win; only
-    those are re-solved with :func:`tridiag_ground`. Ties between subspaces
-    are broken toward smaller n and flagged as sitting at a transition.
-    """
-    candidates = np.flatnonzero(_scan(params, [params.lam])[0])
-    n, energy, vec, at_transition = _decide(params, candidates)
-    return GroundStateResult(energy=energy, state=_subspace_state(params.n_atoms, n, vec),
-                             subspace_index=n, at_transition=at_transition)
+
+def ground_state(params: ModelParams) -> GroundStateResult:
+    """Global RWA ground state over all excitation subspaces: the
+    one-coupling case of :func:`ground_states`."""
+    return ground_states(params, [params.lam])[0]
 
 
 def subspace_energy(params: ModelParams, n: int) -> float:

@@ -3,7 +3,8 @@
 Evaluates the ground state of either solver at every grid point, records the
 energy, phase label and entanglement measures, and extracts phase boundaries
 for comparison with the analytic critical-coupling curves. Points are
-evaluated serially, in the output order: eta-major, lam-ascending.
+evaluated serially, in the output order: eta-major, lam-ascending; an RWA
+sweep solves each eta row in one batched scan.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.solver not in ("rwa", "full"):
             raise ValueError("solver must be 'rwa' or 'full'")
+        check_count("n_atoms", self.n_atoms, 2)   # the pair concurrence needs two
         for name, (lo, hi, count) in (("lam", self.lam_axis), ("eta", self.eta_axis)):
             check_count(f"{name} axis count", count, 2)
             if not lo < hi:
@@ -99,11 +101,15 @@ class BoundarySegment:
     after: float
 
 
-def _eval_point(spec: SweepSpec, lam: float, eta: float) -> GridRecord:
+def _eval_point(spec: SweepSpec, lam: float, eta: float,
+                ground: rwa.GroundStateResult | None = None) -> GridRecord:
+    """One grid point, from its RWA ground state ``ground`` when a row scan
+    gave one and from its own solve otherwise. A failure in the solve or in
+    the entanglement measures flags this point alone."""
     params = spec._params(lam, eta)
     try:
         if spec.solver == "rwa":
-            result = rwa.ground_state(params)
+            result = ground if ground is not None else rwa.ground_state(params)
             phase_index = result.subspace_index
             flags = "at_transition" if result.at_transition else ""
         else:
@@ -123,9 +129,21 @@ def _eval_point(spec: SweepSpec, lam: float, eta: float) -> GridRecord:
 
 
 def run_sweep(spec: SweepSpec) -> list[GridRecord]:
-    """Evaluate the whole grid serially; output is eta-major, lam-ascending."""
-    return [_eval_point(spec, float(lam), float(eta))
-            for eta in spec.eta_values for lam in spec.lam_values]
+    """Evaluate the whole grid serially; output is eta-major, lam-ascending.
+    An RWA sweep solves each eta row in one batched scan; if that raises, the
+    row's points are solved one by one, so a failure flags only its point."""
+    records = []
+    for eta in spec.eta_values.tolist():
+        grounds = [None] * spec.lam_axis[2]
+        if spec.solver == "rwa":
+            try:
+                grounds = rwa.ground_states(spec._params(spec.lam_axis[0], eta),
+                                            spec.lam_values)
+            except Exception:         # contained point by point below
+                pass
+        records += [_eval_point(spec, lam, eta, ground)
+                    for lam, ground in zip(spec.lam_values.tolist(), grounds)]
+    return records
 
 
 def _grid(records: list[GridRecord], spec: SweepSpec) -> list[list[GridRecord]]:

@@ -76,6 +76,51 @@ def test_invalid_input_is_usage_error(command, flags, tmp_path, capsys):
     assert not out.exists()
 
 
+class TestOneQubit:
+    """solve and sweep report the pair concurrence, which needs two qubits;
+    the solvers, critical and ladder take one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--lambda", "0.5"],
+        ["solve", "--lambda", "0.5", "--solver", "full"],
+        ["sweep", "--lambda-points", "2", "--eta-points", "2"],
+        ["sweep", "--lambda-points", "2", "--eta-points", "2", "--solver", "full"],
+    ])
+    def test_solve_and_sweep_refuse_before_any_solve(self, argv, tmp_path, monkeypatch,
+                                                     capsys):
+        from dicke_lmg import fullmodel, rwa
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a rejected input")
+
+        for owner, name in ((rwa, "ground_states"), (rwa, "ground_state"),
+                            (fullmodel, "ground_full")):
+            monkeypatch.setattr(owner, name, no_solve)
+        out = tmp_path / "one.csv"
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(out)]
+        assert main(argv + ["--na", "1", "--delta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: n_atoms must be an integer >= 2, got 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["critical"],
+        ["ladder", "--lambda-min", "0.5", "--lambda-max", "1.5"],
+    ])
+    def test_critical_and_ladder_accept_one_qubit(self, argv, capsys):
+        assert main(argv + ["--na", "1", "--delta", "0"]) == 0
+
+    def test_solvers_accept_one_qubit(self):
+        from dicke_lmg import fullmodel, rwa
+        from dicke_lmg.model import ModelParams
+
+        params = ModelParams(omega_f=1.0, delta=0.0, eta=0.0, lam=1.5, n_atoms=1)
+        assert rwa.ground_state(params).subspace_index >= 1
+        assert np.isfinite(fullmodel.ground_full(params).energy)
+
+
 class TestSolve:
     def test_json_output_round_trips(self, capsys):
         assert main(["solve", "--na", "5", "--delta", "0", "--lambda", "0.5",

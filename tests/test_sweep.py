@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from dicke_lmg import rwa
+from dicke_lmg import sweep as sweep_mod
 from dicke_lmg.cli import read_csv, write_csv
+from dicke_lmg.entanglement import cw_of_ground, entropy_of_ground
 from dicke_lmg.model import ModelParams
 from dicke_lmg.rwa import critical_coupling_1
-from dicke_lmg.sweep import (BoundarySegment, SweepSpec, boundary_trace,
+from dicke_lmg.sweep import (BoundarySegment, GridRecord, SweepSpec, boundary_trace,
                              first_lambda_boundaries, run_sweep)
 
 
@@ -46,6 +49,9 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_atoms=0),
+        # the pair concurrence of every record needs two qubits
+        dict(n_atoms=1),
+        dict(solver="full", n_atoms=1),
         dict(omega_f=0.0),
         dict(delta=float("nan")),
         dict(lam_axis=(0.1, float("inf"), 4)),
@@ -111,6 +117,94 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert all(r.phase_index >= 16 for r in records)
         assert all(np.isfinite(r.energy) for r in records)
+
+
+def _pointwise(spec):
+    """The RWA records of ``spec`` solved one point at a time with
+    rwa.ground_state: the reference that batched rows must match bit for bit."""
+    records = []
+    for eta in spec.eta_values.tolist():
+        for lam in spec.lam_values.tolist():
+            ground = rwa.ground_state(spec._params(lam, eta))
+            records.append(GridRecord(
+                lam=lam, eta=eta, energy=ground.energy, phase_index=ground.subspace_index,
+                cw=cw_of_ground(ground.state), entropy_bits=entropy_of_ground(ground.state),
+                flags="at_transition" if ground.at_transition else "", state=ground.state))
+    return records
+
+
+def _assert_same_records(records, expected):
+    assert len(records) == len(expected)
+    for r, e in zip(records, expected):
+        assert r == e   # every field but the state, floats by ==
+        assert r.state.k0 == e.state.k0
+        assert np.array_equal(r.state.amplitudes, e.state.amplitudes)
+
+
+_CROSSING_ROW = ModelParams(omega_f=1.0, delta=0.05, eta=1.0, lam=0.1, n_atoms=4)
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("kwargs", [
+        dict(delta=0.07, n_atoms=2, lam_axis=(0.01, 2.0, 9), eta_axis=(0.0, 4.0, 4)),
+        dict(delta=-0.1, n_atoms=3, lam_axis=(0.01, 2.0, 9), eta_axis=(0.0, 4.0, 4)),
+        dict(delta=0.05, n_atoms=4, lam_axis=(0.05, 1.9, 9), eta_axis=(0.1, 3.9, 4)),
+        dict(delta=-0.03, n_atoms=5, lam_axis=(0.01, 2.0, 9), eta_axis=(0.0, 4.0, 4)),
+        dict(delta=0.0, n_atoms=6, lam_axis=(0.01, 2.1, 30), eta_axis=(0.0, 4.0, 3)),
+        # the first point of the first row is the closed-form crossing lam_c1
+        dict(delta=0.05, n_atoms=4, lam_axis=(critical_coupling_1(_CROSSING_ROW), 2.0, 7),
+             eta_axis=(1.0, 2.0, 3)),
+    ])
+    def test_rows_have_the_bits_of_pointwise_solves(self, kwargs):
+        spec = _spec(**kwargs)
+        records = run_sweep(spec)
+        _assert_same_records(records, _pointwise(spec))
+        if kwargs["n_atoms"] == 6:
+            # the couplings of one row stop their scans at different caps
+            params = spec._params(0.01, 0.0)
+            widths = {rwa._scan(params, [lam]).shape[1] for lam in spec.lam_values}
+            assert len(widths) >= 3
+        if spec.lam_axis[0] == critical_coupling_1(_CROSSING_ROW):
+            assert records[0].flags == "at_transition"
+
+    def _failing_at(self, monkeypatch, target, bad_lam, bad_eta):
+        """Make ``target`` raise whenever it is called for the point
+        (bad_lam, bad_eta), alone or in a batch."""
+        original = getattr(rwa, target)
+
+        def patched(params, lams):
+            if params.eta == bad_eta and bad_lam in list(lams):
+                raise RuntimeError("forced failure")
+            return original(params, lams)
+
+        monkeypatch.setattr(rwa, target, patched)
+
+    @pytest.mark.parametrize("target", ["_scan", "ground_states"])
+    def test_a_failing_batch_flags_only_its_own_point(self, monkeypatch, target):
+        spec = _spec(delta=0.05, n_atoms=4, lam_axis=(0.01, 2.0, 6), eta_axis=(0.0, 2.0, 3))
+        clean = run_sweep(spec)
+        bad = 6 + 2                     # the third point of the middle row
+        self._failing_at(monkeypatch, target, clean[bad].lam, clean[bad].eta)
+        records = run_sweep(spec)
+        assert records[bad].flags == "error:RuntimeError"
+        assert records[bad].phase_index == -1 and np.isnan(records[bad].energy)
+        assert records[:bad] + records[bad + 1:] == clean[:bad] + clean[bad + 1:]
+
+    def test_a_failing_concurrence_flags_only_its_own_point(self, monkeypatch):
+        spec = _spec(delta=0.05, n_atoms=4, lam_axis=(0.01, 2.0, 6), eta_axis=(0.0, 2.0, 3))
+        clean = run_sweep(spec)
+        bad, calls = 8, []
+
+        def cw_failing_once(state):
+            calls.append(state)
+            if len(calls) == bad + 1:
+                raise ZeroDivisionError("forced failure")
+            return cw_of_ground(state)
+
+        monkeypatch.setattr(sweep_mod, "cw_of_ground", cw_failing_once)
+        records = run_sweep(spec)
+        assert records[bad].flags == "error:ZeroDivisionError"
+        assert records[:bad] + records[bad + 1:] == clean[:bad] + clean[bad + 1:]
 
 
 class TestBoundaries:
