@@ -401,27 +401,27 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
                 use_parity_blocks: bool = True) -> ConvergedGround:
     """Converged full-model ground state, of definite parity.
 
-    Doubles the photon cutoff from n0 = :func:`initial_cutoff` until
-    the energy change between successive cutoffs is below tol * max(1, |E|)
-    and the probability on the top two photon layers is below tail_threshold.
-    Each doubling starts ARPACK from the previous cutoff's block vectors.
+    Doubles the photon cutoff from n0 until the energy change between
+    successive cutoffs is below tol * max(1, |E|) and the probability on the
+    top two photon layers is below tail_threshold. n0 is
+    :func:`initial_cutoff`, halved until every block at 2 n0 is dense (for
+    N_a <= 232 it always gets there). Each doubling starts ARPACK from the
+    previous cutoff's block vectors.
 
     When every block at 2 n0 is dense, 2 n0 is solved first and n0 only if
     the bound of :func:`_truncation_bounds` on the energy change does not
     show that the energy test between n0 and 2 n0 passes. Every result is the
     one that solving n0 first gives, bit for bit.
 
-    Raises ConvergenceError past the cutoff cap _N_CUT_MAX, and before any
-    solve when twice the first cutoff exceeds it, since no second solve could
-    confirm the first. ``use_parity_blocks`` accepts only True, for callers
-    that still pass it.
+    Raises ConvergenceError past the cutoff cap _N_CUT_MAX.
+    ``use_parity_blocks`` accepts only True, for callers that still pass it.
     """
     _check_convergence(tol=tol, tail_threshold=tail_threshold)
     _check_kept(use_parity_blocks=use_parity_blocks)
-    n_cut = initial_cutoff(params)
-    if 2 * n_cut > _N_CUT_MAX:
-        raise _cap_exceeded(params)
     na = params.n_atoms
+    n_cut = initial_cutoff(params)
+    while n_cut > 1 and _largest_block(na, 2 * n_cut) > _DENSE_LIMIT:
+        n_cut //= 2
     prev_energy, blocks, ahead = None, None, None
     if _largest_block(na, 2 * n_cut) <= _DENSE_LIMIT:
         # the loop starts at 2 n0, comparing against E(n0), or against E(2 n0)
@@ -452,10 +452,6 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
                                    tail_mass=tail, parity=parity, parity_gap=gap)
         prev_energy = energy
         n_cut *= 2
-    raise _cap_exceeded(params)
-
-
-def _cap_exceeded(params: ModelParams) -> ConvergenceError:
-    return ConvergenceError(
+    raise ConvergenceError(
         f"photon cutoff cap {_N_CUT_MAX} exceeded (lam = {params.lam}); "
         "deep superradiant regime beyond desk scale")

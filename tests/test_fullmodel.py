@@ -20,8 +20,8 @@ from dicke_lmg.fullmodel import (build_full, build_rwa_product,
                                  critical_coupling_1_cr, effective_coupling,
                                  ground_full, initial_cutoff, parity_diagonal,
                                  parity_matrix)
-from dicke_lmg.model import (ModelParams, ProductBasis, fix_sign, jp_matrix,
-                             jz_matrix)
+from dicke_lmg.model import (ModelParams, ProductBasis, PureState, fix_sign,
+                             jp_matrix, jz_matrix)
 from dicke_lmg.rwa import critical_coupling_1, ground_state
 from dicke_lmg.sweep import SweepSpec, run_sweep
 
@@ -199,20 +199,30 @@ class TestGroundFull:
         with pytest.raises(ConvergenceError, match="cap 4 exceeded"):
             ground_full(_params(lam=2.0))
 
-    @pytest.mark.parametrize("n_cut_start,solves", [(3000, False), (2048, True)])
-    def test_cap_error_before_a_solve_no_doubling_could_confirm(
-            self, n_cut_start, solves, monkeypatch):
-        # the cap is 4096: a first cutoff above 2048 has no second cutoff
+    @pytest.mark.parametrize("n_cut_start", [2048, 3000, 100_000])
+    def test_first_solved_cutoff_is_dense(self, n_cut_start, monkeypatch):
+        # the first cutoff is halved until twice it is dense, so even a start
+        # past the cap of 4096 reaches a solve, and that solve is dense
         class Solved(Exception):
             pass
 
-        def solve(*args, **kw):
-            raise Solved
+        def solve(params, n_cut, *args, **kw):
+            raise Solved(n_cut)
 
         monkeypatch.setattr(fullmodel, "_solve_cutoff", solve)
         monkeypatch.setattr(fullmodel, "initial_cutoff", lambda params: n_cut_start)
-        with pytest.raises(Solved if solves else ConvergenceError):
-            ground_full(_params())
+        params = _params()
+        with pytest.raises(Solved) as solved:
+            ground_full(params)
+        n_cut = solved.value.args[0]
+        assert n_cut in [2 * (n_cut_start >> k) for k in range(n_cut_start.bit_length())]
+        assert fullmodel._largest_block(params.n_atoms, n_cut) <= fullmodel._DENSE_LIMIT
+
+    def test_superradiant_n80_converges_below_the_cap(self):
+        # initial_cutoff is 2640 here; doubling from it would pass the cap
+        result = ground_full(_params(lam=2.0, eta=0.0, n_atoms=80))
+        assert result.n_cut_used <= fullmodel._N_CUT_MAX
+        assert result.tail_mass < 1e-10
 
     def test_sparse_path_matches_dense(self):
         # each parity block, 2 * (n_cut + 1) states, exceeds the dense limit
@@ -350,13 +360,18 @@ class TestWarmStart:
     @pytest.mark.parametrize("n_atoms,lam", _LARGE_GRID)
     def test_ground_full_matches_cold_dense_solves(self, n_atoms, lam, monkeypatch):
         # the reference solves every block of up to 3000 states densely and
-        # starts ARPACK cold above that, where a dense matrix would need GBs
+        # starts ARPACK cold above that, where a dense matrix would need GBs;
+        # _DENSE_LIMIT stays, so both solve the same cutoffs
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         warm = ground_full(params)
         lowest = fullmodel._lowest_pair
-        monkeypatch.setattr(fullmodel, "_DENSE_LIMIT", 3000)
-        monkeypatch.setattr(fullmodel, "_lowest_pair",
-                            lambda block, start=None: lowest(block))
+
+        def reference(block, start=None):
+            if scipy.sparse.issparse(block) and block.shape[0] <= 3000:
+                block = block.toarray()
+            return lowest(block)
+
+        monkeypatch.setattr(fullmodel, "_lowest_pair", reference)
         cold = ground_full(params)
         assert (warm.n_cut_used, warm.parity) == (cold.n_cut_used, cold.parity)
         assert abs(warm.energy - cold.energy) <= 1e-12 * max(1.0, abs(cold.energy))
@@ -371,30 +386,40 @@ class TestWarmStart:
         assert abs(cw_of_ground(warm.state) - cw_of_ground(cold.state)) <= cw_atol
 
     def test_each_doubling_starts_from_the_previous_block_vector(self, monkeypatch):
-        # parity blocks of 2173 and 4326 states: every solve runs ARPACK
+        # the dense step solves cutoffs 12 and 6; ARPACK runs from 24 on, on
+        # parity blocks of 513 states and more
+        params = _params(lam=0.45, eta=0.7, n_atoms=40)
+        cutoffs = _cutoff_spy(monkeypatch)
         calls = _arpack_spy(monkeypatch)
-        ground_full(_params(lam=0.45, eta=0.7, n_atoms=40))
-        assert len(calls) >= 4
-        for _, v0, _, _ in calls[:2]:
-            assert np.allclose(v0, 1.0 / math.sqrt(v0.size), rtol=0, atol=1e-15)
-        # two sectors per cutoff: call i + 2 continues call i's sector
-        for (_, _, _, prev), (_, v0, _, vec) in zip(calls, calls[2:]):
+        ground_full(params)
+        assert cutoffs[:3] == [12, 6, 24] and len(calls) >= 4
+        # the first ARPACK cutoff continues the dense blocks of the one before
+        dense = fullmodel._solve_cutoff(params, 12)
+        starts = [dense[0][1], dense[1][1]] + [vec for _, _, _, vec in calls]
+        # two sectors per cutoff: call i continues the vector two before it
+        for prev, (_, v0, _, vec) in zip(starts, calls):
+            assert not np.allclose(v0, 1.0 / math.sqrt(v0.size), rtol=0, atol=1e-15)
             assert np.array_equal(v0[:prev.size], prev)
             assert not v0[prev.size:].any()
             assert abs(v0 @ vec) > 0.9
 
     def test_exact_eigenvector_start_at_zero_coupling(self, monkeypatch):
         # at lam = 0 the ground vector of each sector is exact at every
-        # cutoff, so the second cutoff starts ARPACK on an exact eigenvector
+        # cutoff: the dense step certifies cutoff 3 from cutoff 6, and a
+        # doubling between two ARPACK cutoffs starts on an exact eigenvector
+        params = _params(lam=0.0, n_atoms=60)
         calls = _arpack_spy(monkeypatch)
-        result = ground_full(_params(lam=0.0, n_atoms=60))
+        result = ground_full(params)
+        assert not calls
+        assert result.energy == pytest.approx(-30.0, abs=1e-12)
+        assert (result.n_cut_used, result.parity) == (6, 1)
+        assert result.parity_gap == pytest.approx(1.0, abs=1e-12)
+        assert result.state.grid[0, 0] == pytest.approx(1.0, abs=1e-12)
+        fullmodel._solve_cutoff(params, 32,
+                                starts=fullmodel._solve_cutoff(params, 16))
         assert len(calls) == 4
         for block, v0, energy, _ in calls[2:]:
             assert np.linalg.norm(block @ v0 - energy * v0) < 1e-12
-        assert result.energy == pytest.approx(-30.0, abs=1e-12)
-        assert (result.n_cut_used, result.parity) == (120, 1)
-        assert result.parity_gap == pytest.approx(1.0, abs=1e-12)
-        assert result.state.grid[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_n5_sweep_domain_builds_no_csr_block(self, monkeypatch):
         # full-sweep and acceptance 8 solve N_a = 5 at lam <= 0.6; every block
@@ -496,25 +521,63 @@ _CERTIFY_LAMS = (0.0, 0.05, 0.3, 0.6, 0.9, 1.2)
 _CERTIFY_SHAPES = ((0.7, 0.3), (-0.8, -0.4))
 
 
+def _dense_first(params):
+    """Whether both blocks at twice initial_cutoff are dense."""
+    n0 = initial_cutoff(params)
+    return fullmodel._largest_block(params.n_atoms, 2 * n0) <= fullmodel._DENSE_LIMIT
+
+
+def _certify_grid(n_atoms):
+    for lam, (eta, delta) in itertools.product(_CERTIFY_LAMS, _CERTIFY_SHAPES):
+        yield _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
+
+
 def _dense_first_points():
     """The params of the certify grid whose blocks at twice the first cutoff
     are both dense."""
-    for n_atoms, lam, (eta, delta) in itertools.product(
-            range(1, 9), _CERTIFY_LAMS, _CERTIFY_SHAPES):
-        params = _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
-        n0 = initial_cutoff(params)
-        if fullmodel._largest_block(n_atoms, 2 * n0) <= fullmodel._DENSE_LIMIT:
-            yield params
+    for n_atoms in range(1, 9):
+        yield from filter(_dense_first, _certify_grid(n_atoms))
+
+
+# the points where twice initial_cutoff is sparse, so ground_full halves its
+# first cutoff: the full-solve-large-n strata, two superradiant N_a = 40
+# points and the sparse points of the certify grid
+_SPARSE_FIRST = ([_params(lam=lam, eta=0.7, n_atoms=n_atoms) for n_atoms, lam in _LARGE_GRID]
+                 + [_params(lam=lam, n_atoms=40) for lam in (1.0, 2.0)]
+                 + [params for n_atoms in range(5, 9) for params in _certify_grid(n_atoms)
+                    if not _dense_first(params)])
 
 
 class TestCertifiedFirstCutoff:
     @pytest.mark.parametrize("n_atoms", range(1, 9))
     def test_matches_the_parent_loop_bit_for_bit(self, n_atoms):
-        for lam, (eta, delta), tol in itertools.product(
-                _CERTIFY_LAMS, _CERTIFY_SHAPES, (1e-8, 1e-10, 1e-13)):
-            params = _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
-            expected, _ = _parent_ground_full(params, tol=tol)
-            assert _outcome(params, tol=tol) == expected
+        # wherever twice initial_cutoff is dense; the other points, at
+        # lam 0.9 and 1.2, are held to test_sparse_regime_agrees_with_the_parent_loop
+        for params in _certify_grid(n_atoms):
+            if not _dense_first(params):
+                assert n_atoms >= 5 and params.lam in (0.9, 1.2)
+                continue
+            for tol in (1e-8, 1e-10, 1e-13):
+                expected, _ = _parent_ground_full(params, tol=tol)
+                assert _outcome(params, tol=tol) == expected
+
+    @pytest.mark.parametrize("params", _SPARSE_FIRST, ids=lambda p: f"{p.n_atoms}-{p.lam}-{p.eta}")
+    def test_sparse_regime_agrees_with_the_parent_loop(self, params, monkeypatch):
+        expected, _ = _parent_ground_full(params)
+        energy, amplitudes, _, parity, gap, _ = expected
+        parent = PureState(amplitudes=np.frombuffer(amplitudes), n_atoms=params.n_atoms)
+        cutoffs = _cutoff_spy(monkeypatch)
+        result = ground_full(params)
+        assert fullmodel._largest_block(params.n_atoms, cutoffs[0]) <= fullmodel._DENSE_LIMIT
+        assert abs(result.energy - energy) <= 1e-12 * max(1.0, abs(energy))
+        if gap > 1e-10 * max(1.0, abs(energy)):
+            assert result.parity == parity
+        assert np.abs(trace_out_field(result.state)
+                      - trace_out_field(parent)).max() <= 1e-12
+        assert abs(entropy_of_ground(result.state) - entropy_of_ground(parent)) <= 1e-9
+        # C_w's sqrt(eps) floor, as in test_ground_full_matches_cold_dense_solves
+        cw_atol = 3.0 * math.sqrt(np.finfo(float).eps)
+        assert abs(cw_of_ground(result.state) - cw_of_ground(parent)) <= cw_atol
 
     def test_bound_holds_at_every_dense_point(self):
         points = list(_dense_first_points())
@@ -595,18 +658,20 @@ class TestCertifiedFirstCutoff:
         assert cutoffs[:2] == [2 * n0, n0]
         assert sorted(cutoffs) == parent_cutoffs
 
-    @pytest.mark.parametrize("n_atoms,lam", [
-        (10, 0.8),             # parity blocks of 688 states
-        (20, 0.45)])
+    @pytest.mark.parametrize("n_atoms,lam,solved", [
+        (10, 0.8, [62]),           # n0 = 62: parity blocks of 688 states at 2 n0
+        (20, 0.45, [26, 13, 52])])  # n0 = 53
     def test_arpack_sized_blocks_solve_the_first_cutoff_first(
-            self, n_atoms, lam, monkeypatch):
+            self, n_atoms, lam, solved, monkeypatch):
+        # twice n0 is sparse, so the first cutoff is n0 halved until twice it
+        # is dense; that doubled cutoff is solved first, as on the dense path
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         n0 = initial_cutoff(params)
         assert fullmodel._largest_block(n_atoms, 2 * n0) > fullmodel._DENSE_LIMIT
-        expected, parent_cutoffs = _parent_ground_full(params)
         cutoffs = _cutoff_spy(monkeypatch)
-        assert _outcome(params) == expected
-        assert cutoffs == parent_cutoffs and cutoffs[:2] == [n0, 2 * n0]
+        assert ground_full(params).n_cut_used == solved[-1]
+        assert cutoffs == solved
+        assert fullmodel._largest_block(n_atoms, cutoffs[0]) <= fullmodel._DENSE_LIMIT
 
     def test_dense_with_parity_blocks_only(self, monkeypatch):
         # N_a = 8, lam = 0.6: twice the first cutoff has 585 states, parity
@@ -777,8 +842,25 @@ def _unloadable(path):
     raise OSError(f"cannot load {path}")
 
 
+@pytest.fixture
+def one_caller_thread():
+    """scipy's OpenBLAS on one thread for the test, through the real calls
+    taken before the test patches them, and restored afterwards: unpinned
+    dense eigh then runs as the pinned one does (on two threads it moves an
+    N_a = 20, lam = 0.8 energy by an ulp)."""
+    calls = fullmodel._blas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    saved = get()
+    set_(1)
+    yield
+    set_(saved)
+
+
 @pytest.mark.parametrize("cdll", [_no_symbols, _unloadable])
-def test_solver_without_openblas_symbols(cdll, monkeypatch):
+def test_solver_without_openblas_symbols(cdll, monkeypatch, one_caller_thread):
     params = _params(lam=0.8, eta=0.7, n_atoms=20)
     pinned = ground_full(params)
     monkeypatch.setattr(ctypes, "CDLL", cdll)
