@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .model import ModelParams, jp_matrix, jy_matrix, jz_matrix
 from .rwa import critical_coupling_1
@@ -82,15 +81,6 @@ def mean_field_energy(params: ModelParams, alpha: float, beta: float) -> float:
             * (2.0 * alpha) * (2.0 * beta))
 
 
-def _energy_reduced(params: ModelParams, u: float) -> float:
-    """Mean-field energy at b^2 = u after eliminating alpha analytically,
-    alpha = -2 lam b (1 - u / 2 N_a) / omega_f."""
-    na = params.n_atoms
-    factor = 1.0 - u / (2.0 * na)
-    return ((params.omega - params.eta) * u + params.eta * u ** 2 / na
-            - 4.0 * params.lam ** 2 * u * factor ** 2 / params.omega_f)
-
-
 def mean_field_minimize(params: ModelParams) -> MeanFieldPoint:
     """Minimize the mean-field energy over real (alpha, beta).
 
@@ -121,13 +111,6 @@ def mean_field_minimize(params: ModelParams) -> MeanFieldPoint:
             u_best, e_best = u, e
     if e_best >= 0.0:
         return MeanFieldPoint(alpha=0.0, beta=0.0, energy=0.0)
-    res = scipy.optimize.minimize_scalar(lambda u: _energy_reduced(params, u),
-                                         bounds=(max(0.0, 0.5 * u_best),
-                                                 min(u_max, 1.5 * u_best + 1e-300)),
-                                         method="bounded",
-                                         options={"xatol": 1e-15})
-    if res.success and res.fun < e_best:
-        u_best = float(res.x)
     beta = -math.sqrt(u_best)
     alpha = -2.0 * params.lam * beta * (1.0 - u_best / (2.0 * na)) / params.omega_f
     return MeanFieldPoint(alpha=alpha, beta=beta,

@@ -184,14 +184,16 @@ def read_csv(path: str):
 
 
 def _record_dict(r) -> dict:
-    return {"lambda": r.lam, "eta": r.eta, "energy": r.energy,
-            "phase_index": r.phase_index, "cw": r.cw,
-            "entropy_bits": r.entropy_bits, "flags": r.flags}
+    """A failed point's NaN measures become null, so the JSON is strict."""
+    energy, cw, entropy = (None,) * 3 if r.failed else (r.energy, r.cw, r.entropy_bits)
+    return {"lambda": r.lam, "eta": r.eta, "energy": energy,
+            "phase_index": r.phase_index, "cw": cw,
+            "entropy_bits": entropy, "flags": r.flags}
 
 
 def write_json(records, path: str):
     with open(path, "w", newline="\n") as fh:
-        json.dump([_record_dict(r) for r in records], fh, indent=1)
+        json.dump([_record_dict(r) for r in records], fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -219,7 +221,7 @@ def cmd_sweep(args) -> int:
             "points": len(records)}
     with open(args.out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, default=str)
-    errors = sum(1 for r in records if r.flags.startswith(("error", "noconv")))
+    errors = sum(r.failed for r in records)
     print(f"wrote {len(records)} records to {args.out} "
           f"({errors} flagged) in {elapsed:.1f}s")
     return 0

@@ -62,10 +62,6 @@ class ModelParams:
     def omega(self) -> float:
         return self.omega_f + self.delta
 
-    @property
-    def j(self) -> float:
-        return self.n_atoms / 2.0
-
     @classmethod
     def from_omega(cls, omega_f: float, omega: float, eta: float, lam: float,
                    n_atoms: int) -> "ModelParams":

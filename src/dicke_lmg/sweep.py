@@ -74,7 +74,8 @@ class SweepSpec:
 @dataclass(frozen=True)
 class GridRecord:
     """One grid point: phase_index is the ground subspace (RWA) or the
-    converged photon cutoff (full model)."""
+    converged photon cutoff (full model). A failed point (flags ``noconv`` or
+    ``error:<Type>``) has phase_index -1, NaN measures and no state."""
 
     lam: float
     eta: float
@@ -85,14 +86,20 @@ class GridRecord:
     flags: str = ""
     state: PureState | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def failed(self) -> bool:
+        """A failed solve or measure; ``at_transition`` is a solved point."""
+        return self.flags.startswith(("noconv", "error:"))
+
 
 @dataclass(frozen=True)
 class BoundarySegment:
     """A cell edge across which the ground state changes phase.
 
     ``axis`` names the scan direction ('lam' or 'eta'); (lam, eta) is the
-    midpoint of the edge; before/after hold the phase indices (RWA) or the
-    neighbor fidelity (full model)."""
+    midpoint of the edge: the mean along ``axis``, the shared coordinate
+    otherwise. before/after hold the phase indices (RWA) or the neighbor
+    fidelity (full model). An edge at a failed record gives no segment."""
 
     axis: str
     lam: float
@@ -146,58 +153,48 @@ def run_sweep(spec: SweepSpec) -> list[GridRecord]:
     return records
 
 
-def _grid(records: list[GridRecord], spec: SweepSpec) -> list[list[GridRecord]]:
+def _edges(records: list[GridRecord], spec: SweepSpec):
+    """Each neighbour pair once as (axis, lam, eta, a, b), (lam, eta) its
+    midpoint: the lam edges row by row, then the eta edges."""
     n_lam = spec.lam_axis[2]
-    n_eta = spec.eta_axis[2]
-    if len(records) != n_lam * n_eta:
+    if len(records) != n_lam * spec.eta_axis[2]:
         raise ValueError("records do not cover the grid")
-    return [records[i * n_lam:(i + 1) * n_lam] for i in range(n_eta)]
+    rows = [records[i:i + n_lam] for i in range(0, len(records), n_lam)]
+    return ([("lam", 0.5 * (a.lam + b.lam), a.eta, a, b)
+             for row in rows for a, b in zip(row, row[1:])]
+            + [("eta", a.lam, 0.5 * (a.eta + b.eta), a, b)
+               for row_a, row_b in zip(rows, rows[1:]) for a, b in zip(row_a, row_b)])
 
 
-def _changed(spec: SweepSpec, a: GridRecord, b: GridRecord) -> tuple[bool, float, float]:
+def _change(spec: SweepSpec, a: GridRecord, b: GridRecord) -> tuple[float, float] | None:
+    """(before, after) across an edge where the phase changes, else None."""
+    if a.failed or b.failed:          # a contained failure has no phase
+        return None
     if spec.solver == "rwa":
-        return a.phase_index != b.phase_index, float(a.phase_index), float(b.phase_index)
-    if a.flags or b.flags:            # a contained failure has no state
-        return False, float("nan"), float("nan")
+        changed = a.phase_index != b.phase_index
+        return (float(a.phase_index), float(b.phase_index)) if changed else None
     if a.state is None or b.state is None:
         raise ValueError("full-model boundaries need the records' states")
     fid = a.state.fidelity(b.state)
-    return fid < _FIDELITY_JUMP, fid, fid
+    return (fid, fid) if fid < _FIDELITY_JUMP else None
 
 
 def boundary_trace(records: list[GridRecord], spec: SweepSpec) -> list[BoundarySegment]:
     """Cell edges where the ground phase changes: subspace-index changes for
     the RWA, neighbor-fidelity drops for the full model, where an unflagged
-    record without its state (as read from a CSV) raises ValueError."""
-    rows = _grid(records, spec)
-    segments = []
-    for row in rows:
-        for a, b in zip(row, row[1:]):
-            hit, before, after = _changed(spec, a, b)
-            if hit:
-                segments.append(BoundarySegment(
-                    axis="lam", lam=0.5 * (a.lam + b.lam), eta=a.eta,
-                    before=before, after=after))
-    for row_a, row_b in zip(rows, rows[1:]):
-        for a, b in zip(row_a, row_b):
-            hit, before, after = _changed(spec, a, b)
-            if hit:
-                segments.append(BoundarySegment(
-                    axis="eta", lam=a.lam, eta=0.5 * (a.eta + b.eta),
-                    before=before, after=after))
-    return segments
+    record without its state (as read from a CSV) raises ValueError. Edges at
+    a failed record are skipped for both solvers."""
+    return [BoundarySegment(axis, lam, eta, *change)
+            for axis, lam, eta, a, b in _edges(records, spec)
+            if (change := _change(spec, a, b))]
 
 
 def first_lambda_boundaries(records: list[GridRecord],
                             spec: SweepSpec) -> dict[float, float]:
-    """For each eta row, the midpoint of the first lam edge where the phase
-    changes (rows without a boundary are omitted), judged as in
-    :func:`boundary_trace`."""
+    """For each eta row, the midpoint of its first lam segment in
+    :func:`boundary_trace` (rows without one are omitted)."""
     out: dict[float, float] = {}
-    for row in _grid(records, spec):
-        for a, b in zip(row, row[1:]):
-            hit, _, _ = _changed(spec, a, b)
-            if hit:
-                out[row[0].eta] = 0.5 * (a.lam + b.lam)
-                break
+    for s in boundary_trace(records, spec):
+        if s.axis == "lam":
+            out.setdefault(s.eta, s.lam)
     return out

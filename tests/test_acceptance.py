@@ -20,7 +20,7 @@ from dicke_lmg.fullmodel import (build_full, critical_coupling_1_cr,
 from dicke_lmg.model import ModelParams
 from dicke_lmg.rwa import (build_subspace, critical_coupling_1, ground_state,
                            transition_ladder, tridiag_ground)
-from dicke_lmg.sweep import SweepSpec, first_lambda_boundaries, run_sweep
+from dicke_lmg.sweep import SweepSpec, boundary_trace, first_lambda_boundaries, run_sweep
 
 
 # one line per criterion; echoed in the terminal summary by conftest.py so
@@ -250,6 +250,7 @@ def test_criterion_8_phase_diagram_sweep():
     # one-cell criterion is evaluated in the plane (nearest point of the curve
     # within +- one eta cell)
     boundaries = first_lambda_boundaries(records, spec)
+    segments = boundary_trace(records, spec)
     lam_weak_max = 0.006 + (0.6 - 0.006) / 3.0
     checked = 0
     worst_cells = 0.0
@@ -268,11 +269,14 @@ def test_criterion_8_phase_diagram_sweep():
     max_cw = max(r.cw for r in records if np.isfinite(r.cw))
     max_entropy = max(r.entropy_bits for r in records
                       if np.isfinite(r.entropy_bits))
-    flagged = sum(1 for r in records if r.flags.startswith(("error", "noconv")))
+    flagged = sum(r.failed for r in records)
 
     ok = (elapsed < 1800 and checked >= 3 and worst_cells <= 1.0
-          and max_cw >= 0.35 and max_entropy >= 0.5 and flagged == 0)
+          and max_cw >= 0.35 and max_entropy >= 0.5 and flagged == 0
+          and len(segments) == 146 and len(boundaries) == 46)
     _report(8, ok, f"100x100 full sweep in {elapsed:.0f}s (< 1800s); "
+                   f"{len(segments)} boundary segments (146) and "
+                   f"{len(boundaries)} first-lambda rows (46); "
                    f"{checked} weak-coupling boundary rows within "
                    f"{worst_cells:.2f} cells of the analytic curve (<= 1); "
                    f"max C_w = {max_cw:.3f} (>= 0.35); max S = "

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -95,6 +96,53 @@ class TestMeanField:
                 grad = (plus - minus) / (2 * eps)
                 scale = max(1.0, abs(point.energy))
                 assert abs(grad) < 1e-6 * scale
+
+    @staticmethod
+    def _decimal_minimizer(params: ModelParams) -> Decimal:
+        """The u = beta^2 minimizing the cubic E(u) of mean_field_minimize on
+        [0, 2 N_a], from the same float inputs in 50-digit decimal; 0 where
+        no u gives E < 0."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            na = Decimal(params.n_atoms)
+            k = 4 * Decimal(params.lam) ** 2 / Decimal(params.omega_f)
+            c1 = Decimal(params.omega) - Decimal(params.eta) - k
+            c2 = (Decimal(params.eta) + k) / na
+            c3 = -k / (4 * na * na)
+            a, b = 3 * c3, 2 * c2            # dE/du = a u^2 + b u + c1
+            disc = b * b - 4 * a * c1
+            candidates = [2 * na]
+            if disc >= 0:
+                candidates += [r for r in ((-b + sign * disc.sqrt()) / (2 * a)
+                                           for sign in (1, -1)) if 0 < r <= 2 * na]
+
+            def energy(u):
+                return ((c3 * u + c2) * u + c1) * u
+
+            u = min(candidates, key=energy)
+            return u if energy(u) < 0 else Decimal(0)
+
+    def test_beta_is_the_exact_stationary_root(self):
+        # the ranges of the mean-field self-test, lam drawn across its thresholds
+        rng = np.random.default_rng(5)
+        condensed = 0
+        for _ in range(200):
+            params = ModelParams(omega_f=rng.uniform(0.5, 1.5),
+                                 delta=rng.uniform(-0.2, 0.5),
+                                 eta=rng.uniform(0.0, 0.6),
+                                 lam=rng.uniform(0.3, 2.0),
+                                 n_atoms=int(rng.integers(3, 40)))
+            u = self._decimal_minimizer(params)
+            point = mean_field_minimize(params)
+            if u == 0:
+                assert point.beta == 0.0
+                continue
+            condensed += 1
+            with localcontext() as ctx:
+                ctx.prec = 50
+                ref = -u.sqrt()
+                assert abs((Decimal(point.beta) - ref) / ref) < Decimal("1e-13")
+        assert condensed >= 150
 
     def test_trivial_phase_below_threshold(self):
         params = _params(lam=0.3, eta=0.2)

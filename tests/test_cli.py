@@ -256,6 +256,18 @@ class TestCsvRoundTrip:
         assert data[0]["lambda"] == 0.1
         assert data[1]["phase_index"] == 3
 
+    def test_json_writer_is_strict_for_a_failed_point(self, tmp_path):
+        path = str(tmp_path / "grid.json")
+        write_json(self._records(), path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        data = json.loads(open(path).read(), parse_constant=reject)
+        assert data[2]["flags"] == "noconv" and data[2]["phase_index"] == -1
+        assert [data[2][k] for k in ("energy", "cw", "entropy_bits")] == [None] * 3
+        assert data[0]["energy"] == -1.5
+
 
 class TestSweepCommand:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):

@@ -190,6 +190,19 @@ class TestBatchedRows:
         assert records[bad].phase_index == -1 and np.isnan(records[bad].energy)
         assert records[:bad] + records[bad + 1:] == clean[:bad] + clean[bad + 1:]
 
+    def test_a_failed_rwa_point_is_no_boundary(self, monkeypatch):
+        # every point of this grid is in the vacuum phase; a failed one
+        # carries phase_index -1 and must not read as a phase change
+        spec = _spec(lam_axis=(0.1, 0.4, 4), eta_axis=(0.0, 0.1, 2))
+        clean = run_sweep(spec)
+        assert {r.phase_index for r in clean} == {0}
+        self._failing_at(monkeypatch, "_scan", clean[1].lam, clean[1].eta)
+        records = run_sweep(spec)
+        assert records[1].failed and records[1].phase_index == -1
+        assert not any(r.failed for r in records[:1] + records[2:])
+        assert boundary_trace(records, spec) == []
+        assert first_lambda_boundaries(records, spec) == {}
+
     def test_a_failing_concurrence_flags_only_its_own_point(self, monkeypatch):
         spec = _spec(delta=0.05, n_atoms=4, lam_axis=(0.01, 2.0, 6), eta_axis=(0.0, 2.0, 3))
         clean = run_sweep(spec)
@@ -237,6 +250,27 @@ class TestBoundaries:
         coarse_cell = 0.1
         for eta in coarse_b:
             assert abs(coarse_b[eta] - fine_b[eta]) <= coarse_cell
+
+    @pytest.mark.parametrize("spec", [
+        # the first point of the first row is an at_transition record
+        _spec(delta=0.05, n_atoms=4, lam_axis=(critical_coupling_1(_CROSSING_ROW), 2.0, 7),
+              eta_axis=(1.0, 2.0, 3)),
+        _full_spec(),
+    ], ids=["rwa-at-transition", "full"])
+    def test_first_lambda_is_the_first_lam_segment_of_each_row(self, spec):
+        records = run_sweep(spec)
+        segments = boundary_trace(records, spec)
+        expected = {}
+        for eta in spec.eta_values.tolist():
+            row = [s.lam for s in segments if s.axis == "lam" and s.eta == eta]
+            if row:
+                expected[eta] = row[0]
+        assert expected and first_lambda_boundaries(records, spec) == expected
+        if spec.solver == "rwa":
+            assert records[0].flags == "at_transition" and not records[0].failed
+            # it keeps its edge: subspace 0 -> 1 is its row's first change
+            assert (records[0].phase_index, records[1].phase_index) == (0, 1)
+            assert expected[1.0] == 0.5 * (records[0].lam + records[1].lam)
 
     def test_w_region_concurrence_plateau(self):
         # between the first and second transitions at strong eta the ground
