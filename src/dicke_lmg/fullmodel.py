@@ -36,12 +36,22 @@ from .errors import ConvergenceError
 from .model import (DickeBasis, ModelParams, ProductBasis, PureState, fix_sign,
                     jp_matrix)
 
-# a block above this dimension is assembled as CSR and solved by Lanczos
-# (ARPACK), at or below it densely; the choice is made per parity block, by its
-# own dimension. Cold ARPACK overtakes dense eigh at 350-400 states for
-# N_a = 5 and 10, 300-350 for N_a = 20 and 200-350 for N_a = 40 (README).
-# Every N_a = 5 block with lam <= 0.6 (at most 123 states) stays dense
+# a parity block of at most this dimension is solved densely; above it by
+# banded inverse iteration or by ARPACK (_BAND_LIMIT). Cold ARPACK overtakes
+# dense eigh at 350-400 states for N_a = 5 and 10, 300-350 for N_a = 20 and
+# 200-350 for N_a = 40 (README). Every N_a = 5 block with lam <= 0.6 (at most
+# 123 states) stays dense
 _DENSE_LIMIT = 350
+# a block above _DENSE_LIMIT whose half-bandwidth is at most this is solved by
+# banded inverse iteration, a wider one by warm ARPACK; both choices are made
+# per parity block, from its own shape. In photon-major order the
+# half-bandwidth is N_a // 2 + 1, or one more in one sector at odd N_a (21 at
+# N_a = 40, 41 at N_a = 80, 61 at N_a = 120). Banded whole solves win up to
+# half-bandwidth 41, are mixed at 51 and 61 and lose 1.5-2x at 81 (README)
+_BAND_LIMIT = 41
+# the shifts a banded solve may try, factored or bisected; no solve on a grid
+# up to N_a = 80, lam = 2.5 needed 30
+_BAND_SHIFT_CAP = 100
 # the largest photon cutoff ground_full may solve
 _N_CUT_MAX = 4096
 
@@ -115,6 +125,13 @@ class _Layout:
                    cols=np.concatenate(cols), weights=np.concatenate(weights),
                    n_rotating=rows[0].size)
 
+    @property
+    def half_bandwidth(self) -> int:
+        """Half-bandwidth of H on these states, the largest cols - rows: in
+        photon-major order cols > rows, so coupling entry e sits in the
+        lower band at (cols[e], rows[e])."""
+        return int((self.cols - self.rows).max(initial=0))
+
 
 # cached only where the whole product basis has at most _CACHE_LIMIT states:
 # there the assembly overhead counts, and one table stays below 0.1 MB
@@ -160,6 +177,16 @@ def _hamiltonian(params: ModelParams, layout: _Layout, sparse: bool = False,
     h[rows, cols] = coupling
     h[cols, rows] = coupling
     return h
+
+
+def _band_storage(params: ModelParams, layout: _Layout) -> np.ndarray:
+    """H on the states of ``layout`` in LAPACK lower band storage,
+    ``lower[d, j] = H[j + d, j]``, written from its bands."""
+    diag, coupling, rows, cols = _bands(params, layout)
+    lower = np.zeros((layout.half_bandwidth + 1, diag.size), order="F")
+    lower[0] = diag
+    lower[cols - rows, rows] = coupling
+    return lower
 
 
 def _norm_bound(params: ModelParams, layout: _Layout) -> float:
@@ -269,28 +296,84 @@ def _one_blas_thread():
             set_(saved)
 
 
+def _start_vector(start: np.ndarray | None, dim: int) -> np.ndarray:
+    """``start`` zero-padded to ``dim`` states, or the uniform unit vector
+    without one."""
+    if start is None:
+        return np.full(dim, 1.0 / math.sqrt(dim))
+    v0 = np.zeros(dim)
+    v0[:start.size] = start
+    return v0
+
+
 def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a dense block by eigh on one BLAS thread, of a CSR
-    block by ARPACK on the caller's BLAS threads. ARPACK starts from ``start``
-    zero-padded to the block's dimension, or from the uniform vector without
-    one."""
+    block by ARPACK on the caller's BLAS threads. ARPACK starts from
+    :func:`_start_vector`. Narrow sparse-sized blocks take
+    :func:`_lowest_banded` instead."""
     if not scipy.sparse.issparse(matrix):
         with _one_blas_thread():
             vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
         return float(vals[0]), vecs[:, 0]
     dim = matrix.shape[0]
-    if start is None:
-        v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    else:
-        v0 = np.zeros(dim)
-        v0[:start.size] = start
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0,
+        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA",
+                                               v0=_start_vector(start, dim),
                                                maxiter=50 * dim)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"ARPACK did not converge on a {dim}-state block") from exc
     return float(vals[0]), vecs[:, 0]
+
+
+def _lowest_banded(lower: np.ndarray, start: np.ndarray | None = None
+                   ) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a block in lower band storage by inverse iteration
+    from :func:`_start_vector`, on the caller's BLAS threads.
+
+    Each step shifts by sigma = rho - 2 max(r, tol), below the Rayleigh
+    quotient rho of the iterate x, where r = ||Hx - rho x|| and tol = 1e-12
+    max(1, |rho|), and factors H - sigma by banded Cholesky. A shift that
+    factors lies below the lowest eigenvalue E0 (Sylvester's law of inertia),
+    so the iteration targets the ground level whatever the start. A shift
+    that does not factor is bisected against the highest shift known to
+    factor, at first one below the Gershgorin bound. x is accepted when
+    r <= tol and its own shift factors: then rho - 2 tol < E0 <= rho. Raises
+    ConvergenceError once _BAND_SHIFT_CAP shifts have been tried."""
+    depth, dim = lower.shape[0] - 1, lower.shape[1]
+    x = _start_vector(start, dim)
+    x /= np.linalg.norm(x)
+    # the row sums of |H| give the Gershgorin bound min(H_ii - sum_j!=i |H_ij|)
+    row_sums = scipy.linalg.blas.dsbmv(depth, 1.0, np.abs(lower), np.ones(dim), lower=1)
+    below = float(np.min(lower[0] + np.abs(lower[0]) - row_sums)) - 1.0
+    above = math.inf
+    shifted = lower.copy(order="F")
+    tried = 0
+    while True:
+        hx = scipy.linalg.blas.dsbmv(depth, 1.0, lower, x, lower=1)
+        rho = float(x @ hx)
+        residual = float(np.linalg.norm(hx - rho * x))
+        tol = 1e-12 * max(1.0, abs(rho))
+        sigma = max(rho - 2.0 * max(residual, tol), below)
+        own_shift = True
+        while True:
+            tried += 1
+            if tried > _BAND_SHIFT_CAP:
+                raise ConvergenceError(
+                    f"banded inverse iteration did not converge on a {dim}-state block")
+            if sigma < above:
+                shifted[0] = lower[0] - sigma
+                factor, info = scipy.linalg.lapack.dpbtrf(shifted, lower=1)
+                if info == 0:
+                    break
+                above = sigma
+            own_shift = False
+            sigma = 0.5 * (below + above)
+        below = sigma
+        if own_shift and residual <= tol:
+            return rho, x
+        x, _ = scipy.linalg.lapack.dpbtrs(factor, x, lower=1)
+        x /= np.linalg.norm(x)
 
 
 def _largest_block(n_atoms: int, n_cut: int) -> int:
@@ -302,18 +385,24 @@ def _largest_block(n_atoms: int, n_cut: int) -> int:
 def _solve_cutoff(params: ModelParams, n_cut: int,
                   starts: dict | None = None) -> dict:
     """Lowest eigenpair of each parity block at fixed cutoff: maps sectors 0
-    and 1 to (energy, block vector). Each block is assembled directly and
-    solved densely up to _DENSE_LIMIT states, by ARPACK above. Passed back in
-    as ``starts`` at a larger cutoff, the block vectors start ARPACK there,
-    since a sector's states at this cutoff are a prefix of its states at any
-    larger one."""
+    and 1 to (energy, block vector, layout). Each block is assembled directly
+    and solved densely up to _DENSE_LIMIT states; above, by banded inverse
+    iteration up to a half-bandwidth of _BAND_LIMIT and by ARPACK beyond it.
+    Passed back in as ``starts`` at a larger cutoff, the block vectors start
+    those sparse-sized solves there, since a sector's states at this cutoff
+    are a prefix of its states at any larger one."""
     starts = starts or {}
     solved = {}
     for sector in (0, 1):
         layout = _layout(params.n_atoms, n_cut, sector)
-        block = _hamiltonian(params, layout, sparse=layout.index.size > _DENSE_LIMIT)
         start = starts[sector][1] if sector in starts else None
-        solved[sector] = _lowest_pair(block, start)
+        if layout.index.size <= _DENSE_LIMIT:
+            pair = _lowest_pair(_hamiltonian(params, layout))
+        elif layout.half_bandwidth <= _BAND_LIMIT:
+            pair = _lowest_banded(_band_storage(params, layout), start)
+        else:
+            pair = _lowest_pair(_hamiltonian(params, layout, sparse=True), start)
+        solved[sector] = (*pair, layout)
     return solved
 
 
@@ -346,8 +435,8 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
     na = params.n_atoms
     norm = _norm_bound(params, _layout(na, 2 * n_cut, None))
     bounds = {}
-    for sector, (_, vec) in solved.items():
-        layout = _layout(na, 2 * n_cut, sector)
+    for sector, block in solved.items():
+        vec, layout = block[1], _layout(na, 2 * n_cut, sector)
         phi = vec[:np.searchsorted(layout.k, n_cut, side="right")]
         weight = phi @ phi
         top = layout.k[layout.rows] == n_cut
@@ -405,8 +494,8 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     successive cutoffs is below tol * max(1, |E|) and the probability on the
     top two photon layers is below tail_threshold. n0 is
     :func:`initial_cutoff`, halved until every block at 2 n0 is dense (for
-    N_a <= 232 it always gets there). Each doubling starts ARPACK from the
-    previous cutoff's block vectors.
+    N_a <= 232 it always gets there). Each doubling starts its banded or
+    ARPACK solves from the previous cutoff's block vectors.
 
     When every block at 2 n0 is dense, 2 n0 is solved first and n0 only if
     the bound of :func:`_truncation_bounds` on the energy change does not
@@ -441,7 +530,7 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
         sector, parity, gap = _ground_sector(blocks)
         energy = blocks[sector][0]
         vec = np.zeros((n_cut + 1) * (na + 1))
-        vec[_layout(na, n_cut, sector).index] = blocks[sector][1]
+        vec[blocks[sector][2].index] = blocks[sector][1]
         tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
         if (prev_energy is not None
                 and abs(energy - prev_energy) < tol * max(1.0, abs(energy))

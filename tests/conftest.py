@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from dicke_lmg import fullmodel
+
 
 @pytest.fixture
 def failing_arpack(monkeypatch):
@@ -11,6 +13,13 @@ def failing_arpack(monkeypatch):
             "no convergence", np.empty(0), np.empty((matrix.shape[0], 0)))
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+
+
+@pytest.fixture
+def failing_banded(monkeypatch):
+    """Let every banded inverse iteration try one shift: a warm start that
+    is not already an eigenvector then raises ConvergenceError."""
+    monkeypatch.setattr(fullmodel, "_BAND_SHIFT_CAP", 1)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

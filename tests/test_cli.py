@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dicke_lmg import fullmodel
 from dicke_lmg.cli import CSV_HEADER, main, read_csv, write_csv, write_json
 from dicke_lmg.sweep import GridRecord
 
@@ -48,9 +49,19 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_arpack_failure_is_a_convergence_error(self, capsys, failing_arpack):
+    def test_banded_failure_is_a_convergence_error(self, capsys, failing_banded):
+        # parity blocks of about 1000 states at N_a = 20 are banded
         code = main(["solve", "--na", "20", "--delta", "0", "--lambda", "0.8",
                      "--solver", "full"])
+        assert code == 1
+        assert ("error: ConvergenceError: banded inverse iteration did not converge"
+                in capsys.readouterr().err)
+
+    def test_arpack_failure_is_a_convergence_error(self, capsys, failing_arpack):
+        # the half-bandwidth is N_a // 2 + 1: from N_a = 2 _BAND_LIMIT on,
+        # sparse-sized blocks go through ARPACK
+        code = main(["solve", "--na", str(2 * fullmodel._BAND_LIMIT), "--delta", "0",
+                     "--lambda", "0.8", "--solver", "full"])
         assert code == 1
         assert "error: ConvergenceError: ARPACK did not converge" in capsys.readouterr().err
 

@@ -291,28 +291,83 @@ class TestBandBuilder:
                         assert csr.has_sorted_indices
                         assert np.array_equal(csr.toarray(), block)
 
-    def test_block_is_csr_only_above_the_dense_limit(self, monkeypatch):
-        # the block's own dimension picks the solver: at N_a = 3 each parity
+    def test_block_kind_follows_its_shape(self, monkeypatch):
+        # the block's own shape picks the solver: at N_a = 3 each parity
         # block holds 2 (n_cut + 1) states, at most _DENSE_LIMIT at this n_cut
-        # and more at the next
+        # and more at the next, where its half-bandwidth of 3 makes it banded.
+        # The half-bandwidth is _BAND_LIMIT at N_a = 2 _BAND_LIMIT - 2 and one
+        # more at N_a = 2 _BAND_LIMIT, where a sparse-sized block is CSR
         calls = []
-        monkeypatch.setattr(fullmodel, "_lowest_pair",
-                            lambda m, start=None: calls.append(m)
-                            or (0.0, np.zeros(m.shape[0])))
+
+        def record(kind):
+            return lambda m, start=None: (calls.append((kind, m.shape))
+                                          or (0.0, np.zeros(m.shape[-1])))
+
+        monkeypatch.setattr(fullmodel, "_lowest_pair", lambda m, start=None: record(
+            "csr" if scipy.sparse.issparse(m) else "dense")(m, start))
+        monkeypatch.setattr(fullmodel, "_lowest_banded", record("band"))
         params = _params(lam=0.5, n_atoms=3)
         n_cut = fullmodel._DENSE_LIMIT // 2 - 1
         half = 2 * (n_cut + 1)
         assert half <= fullmodel._DENSE_LIMIT < half + 2
         fullmodel._solve_cutoff(params, n_cut)
-        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(False, half)] * 2
+        assert calls == [("dense", (half, half))] * 2
         calls.clear()
         fullmodel._solve_cutoff(params, n_cut + 1)
-        assert [(scipy.sparse.issparse(m), m.shape[0]) for m in calls] == [(True, half + 2)] * 2
+        assert calls == [("band", (4, half + 2))] * 2
+        for n_atoms, kind in ((2 * fullmodel._BAND_LIMIT - 2, "band"),
+                              (2 * fullmodel._BAND_LIMIT, "csr")):
+            calls.clear()
+            fullmodel._solve_cutoff(_params(lam=0.5, n_atoms=n_atoms), 12)
+            layouts = [fullmodel._layout(n_atoms, 12, s) for s in (0, 1)]
+            assert all(layout.index.size > fullmodel._DENSE_LIMIT for layout in layouts)
+            assert [k for k, _ in calls] == [kind] * 2
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 20, 79, 80, 81])
+    def test_band_storage_holds_the_dense_block(self, n_atoms):
+        for params in _builder_params(n_atoms):
+            for n_cut, sector in itertools.product((1, 4, 17), (0, 1)):
+                layout = fullmodel._layout(n_atoms, n_cut, sector)
+                dense = fullmodel._hamiltonian(params, layout)
+                lower = fullmodel._band_storage(params, layout)
+                rows, cols = np.nonzero(np.tril(dense))
+                width = np.max(rows - cols, initial=0)
+                assert n_atoms // 2 + 1 <= layout.half_bandwidth <= n_atoms // 2 + 2
+                assert width == (layout.half_bandwidth if params.lam else 0)
+                assert lower.shape == (layout.half_bandwidth + 1, dense.shape[0])
+                assert _band_csr(lower).toarray().tobytes() == dense.tobytes()
 
 
 # the full-solve-large-n benchmark strata: every block size from dense to
-# 10066-state ARPACK blocks
+# 10066-state banded blocks
 _LARGE_GRID = list(itertools.product((10, 20, 40), (0.15, 0.45, 0.8)))
+# the widest banded blocks (half-bandwidth _BAND_LIMIT) and the narrowest
+# ARPACK ones (_BAND_LIMIT + 1): the half-bandwidth is N_a // 2 + 1 at even N_a
+_BANDED_N = 2 * fullmodel._BAND_LIMIT - 2
+_ARPACK_N = 2 * fullmodel._BAND_LIMIT
+_ACROSS_BAND_LIMIT = [(_BANDED_N, 0.45), (_ARPACK_N, 0.45)]
+
+
+def _band_csr(lower):
+    """The symmetric CSR matrix whose lower band storage is ``lower``."""
+    dim = lower.shape[1]
+    offsets = range(lower.shape[0])
+    tri = scipy.sparse.diags([lower[d, :dim - d] for d in offsets], [-d for d in offsets])
+    return (tri + scipy.sparse.triu(tri.T, 1)).tocsr()
+
+
+def _banded_spy(monkeypatch):
+    """Record (band, start, eigenvalue, eigenvector) of every banded solve."""
+    calls = []
+    solve = fullmodel._lowest_banded
+
+    def spy(lower, start=None):
+        energy, vec = solve(lower, start)
+        calls.append((lower, start, energy, vec))
+        return energy, vec
+
+    monkeypatch.setattr(fullmodel, "_lowest_banded", spy)
+    return calls
 
 
 def _arpack_spy(monkeypatch):
@@ -357,11 +412,12 @@ class TestWarmStart:
             # the padded start is already close to the answer
             assert abs(dense_v[:, 0] @ calls[-1][1]) > 0.99
 
-    @pytest.mark.parametrize("n_atoms,lam", _LARGE_GRID)
+    @pytest.mark.parametrize("n_atoms,lam", _LARGE_GRID + _ACROSS_BAND_LIMIT)
     def test_ground_full_matches_cold_dense_solves(self, n_atoms, lam, monkeypatch):
         # the reference solves every block of up to 3000 states densely and
-        # starts ARPACK cold above that, where a dense matrix would need GBs;
-        # _DENSE_LIMIT stays, so both solve the same cutoffs
+        # starts ARPACK cold above that, where a dense matrix would need GBs,
+        # banded blocks included; _DENSE_LIMIT stays, so both solve the same
+        # cutoffs
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         warm = ground_full(params)
         lowest = fullmodel._lowest_pair
@@ -372,6 +428,8 @@ class TestWarmStart:
             return lowest(block)
 
         monkeypatch.setattr(fullmodel, "_lowest_pair", reference)
+        monkeypatch.setattr(fullmodel, "_lowest_banded",
+                            lambda lower, start=None: reference(_band_csr(lower)))
         cold = ground_full(params)
         assert (warm.n_cut_used, warm.parity) == (cold.n_cut_used, cold.parity)
         assert abs(warm.energy - cold.energy) <= 1e-12 * max(1.0, abs(cold.energy))
@@ -386,42 +444,77 @@ class TestWarmStart:
         assert abs(cw_of_ground(warm.state) - cw_of_ground(cold.state)) <= cw_atol
 
     def test_each_doubling_starts_from_the_previous_block_vector(self, monkeypatch):
-        # the dense step solves cutoffs 12 and 6; ARPACK runs from 24 on, on
-        # parity blocks of 513 states and more
+        # the dense step solves cutoffs 12 and 6; banded solves run from 24
+        # on, on parity blocks of 513 states and more
         params = _params(lam=0.45, eta=0.7, n_atoms=40)
+        cutoffs = _cutoff_spy(monkeypatch)
+        calls = _banded_spy(monkeypatch)
+        arpack = _arpack_spy(monkeypatch)
+        ground_full(params)
+        assert cutoffs[:3] == [12, 6, 24] and len(calls) >= 4 and not arpack
+        # the first banded cutoff continues the dense blocks of the one before
+        dense = fullmodel._solve_cutoff(params, 12)
+        recorded = list(calls)
+        starts = [dense[0][1], dense[1][1]] + [vec for _, _, _, vec in recorded]
+        # two sectors per cutoff: call i continues the vector two before it
+        for prev, (lower, start, energy, vec) in zip(starts, recorded):
+            assert np.array_equal(start, prev)
+            v0 = fullmodel._start_vector(start, lower.shape[1])
+            assert np.array_equal(v0[:prev.size], prev)
+            assert not v0[prev.size:].any()
+            assert abs(v0 @ vec) > 0.9
+            # the solve runs from the zero-padded vector itself
+            padded = fullmodel._lowest_banded(lower, v0)
+            assert padded[0] == energy and np.array_equal(padded[1], vec)
+
+    def test_each_arpack_doubling_starts_from_the_previous_block_vector(self, monkeypatch):
+        # above _BAND_LIMIT: the dense step solves cutoffs 6 and 3; ARPACK
+        # runs from 12 on, where the starts from these small cutoffs are
+        # still far off
+        params = _params(lam=0.45, eta=0.7, n_atoms=_ARPACK_N)
         cutoffs = _cutoff_spy(monkeypatch)
         calls = _arpack_spy(monkeypatch)
         ground_full(params)
-        assert cutoffs[:3] == [12, 6, 24] and len(calls) >= 4
-        # the first ARPACK cutoff continues the dense blocks of the one before
-        dense = fullmodel._solve_cutoff(params, 12)
+        assert cutoffs[:3] == [6, 3, 12] and len(calls) >= 4
+        dense = fullmodel._solve_cutoff(params, 6)
         starts = [dense[0][1], dense[1][1]] + [vec for _, _, _, vec in calls]
-        # two sectors per cutoff: call i continues the vector two before it
         for prev, (_, v0, _, vec) in zip(starts, calls):
             assert not np.allclose(v0, 1.0 / math.sqrt(v0.size), rtol=0, atol=1e-15)
             assert np.array_equal(v0[:prev.size], prev)
             assert not v0[prev.size:].any()
-            assert abs(v0 @ vec) > 0.9
+            assert abs(v0 @ vec) > 0.5
 
-    def test_exact_eigenvector_start_at_zero_coupling(self, monkeypatch):
+    @pytest.mark.parametrize("n_atoms", [60, _ARPACK_N])
+    def test_exact_eigenvector_start_at_zero_coupling(self, n_atoms, monkeypatch):
         # at lam = 0 the ground vector of each sector is exact at every
-        # cutoff: the dense step certifies cutoff 3 from cutoff 6, and a
-        # doubling between two ARPACK cutoffs starts on an exact eigenvector
-        params = _params(lam=0.0, n_atoms=60)
-        calls = _arpack_spy(monkeypatch)
+        # cutoff: the dense step certifies n0 from 2 n0 and stops there, and
+        # a doubling between two sparse-sized cutoffs starts on an exact
+        # eigenvector, which a banded solve returns after one factorisation
+        params = _params(lam=0.0, n_atoms=n_atoms)
+        banded, arpack = _banded_spy(monkeypatch), _arpack_spy(monkeypatch)
+        cutoffs = _cutoff_spy(monkeypatch)
         result = ground_full(params)
-        assert not calls
-        assert result.energy == pytest.approx(-30.0, abs=1e-12)
-        assert (result.n_cut_used, result.parity) == (6, 1)
+        assert not banded and not arpack
+        assert result.energy == pytest.approx(-n_atoms / 2, abs=1e-12)
+        assert len(cutoffs) == 1
+        assert (result.n_cut_used, result.parity) == (cutoffs[0], 1)
         assert result.parity_gap == pytest.approx(1.0, abs=1e-12)
         assert result.state.grid[0, 0] == pytest.approx(1.0, abs=1e-12)
-        fullmodel._solve_cutoff(params, 32,
-                                starts=fullmodel._solve_cutoff(params, 16))
-        assert len(calls) == 4
-        for block, v0, energy, _ in calls[2:]:
-            assert np.linalg.norm(block @ v0 - energy * v0) < 1e-12
+        starts = fullmodel._solve_cutoff(params, 16)
+        factored = _factor_spy(monkeypatch)
+        fullmodel._solve_cutoff(params, 32, starts=starts)
+        if n_atoms <= _BANDED_N:
+            assert not arpack and len(banded) == 4 and len(factored) == 2
+            for lower, start, energy, vec in banded[2:]:
+                v0 = fullmodel._start_vector(start, lower.shape[1])
+                assert np.array_equal(vec, v0 / np.linalg.norm(v0))
+                assert np.linalg.norm(_band_csr(lower) @ v0 - energy * v0) < 1e-12
+        else:
+            assert not banded and len(arpack) == 4
+            for block, v0, energy, _ in arpack[2:]:
+                assert np.linalg.norm(block @ v0 - energy * v0) < 1e-12
 
-    def test_n5_sweep_domain_builds_no_csr_block(self, monkeypatch):
+    def test_n5_sweep_domain_builds_no_sparse_block(self, monkeypatch):
         # full-sweep and acceptance 8 solve N_a = 5 at lam <= 0.6; every block
         # there has at most 123 states and stays on the dense path, which
         # keeps the sweep CSVs bit-identical
@@ -433,10 +526,11 @@ class TestWarmStart:
             return build(params, layout, sparse, **kwargs)
 
         monkeypatch.setattr(fullmodel, "_hamiltonian", spy)
+        banded = _banded_spy(monkeypatch)
         for lam in np.linspace(0.006, 0.6, 12):
             for eta in (0.8, 1.2, 1.6):
                 ground_full(_params(lam=lam, eta=eta, n_atoms=5))
-        assert not any(sparse for sparse, _ in built)
+        assert not any(sparse for sparse, _ in built) and not banded
         assert max(dim for _, dim in built) <= 123
 
     def test_arpack_failure_is_a_convergence_error(self, failing_arpack):
@@ -445,6 +539,83 @@ class TestWarmStart:
                                        sparse=True)
         with pytest.raises(ConvergenceError, match=f"{layout.index.size}-state block"):
             fullmodel._lowest_pair(block)
+
+
+def _warm_band(n_atoms, lam, n_cut=None):
+    """(band, dense eigenvalues, dense eigenvectors, warm start) of sector 0
+    at the doubling to 2 n_cut, n_cut capped so that the block stays near
+    2000 states; the start is the dense ground vector at n_cut."""
+    params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
+    n_cut = n_cut or min(initial_cutoff(params), 2000 // (n_atoms + 1))
+    start = fullmodel._lowest_pair(
+        fullmodel._hamiltonian(params, fullmodel._layout(n_atoms, n_cut, 0)))[1]
+    layout = fullmodel._layout(n_atoms, 2 * n_cut, 0)
+    vals, vecs = scipy.linalg.eigh(fullmodel._hamiltonian(params, layout))
+    return fullmodel._band_storage(params, layout), vals, vecs, start
+
+
+def _factor_spy(monkeypatch):
+    """Record the info of every banded Cholesky factorisation."""
+    infos = []
+    factor = scipy.linalg.lapack.dpbtrf
+
+    def spy(*args, **kwargs):
+        result = factor(*args, **kwargs)
+        infos.append(result[1])
+        return result
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", spy)
+    return infos
+
+
+def _assert_lowest_pair(pair, vals, vecs, lower):
+    energy, vec = pair
+    assert abs(energy - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
+    assert abs(vecs[:, 0] @ vec) >= 1.0 - 1e-12
+    residual = _band_csr(lower) @ vec - energy * vec
+    assert np.linalg.norm(residual) <= 1e-12 * max(1.0, abs(energy))
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("n_atoms,lam", _LARGE_GRID + [(_BANDED_N, 0.45)])
+    def test_warm_banded_matches_dense_eigh(self, n_atoms, lam, monkeypatch):
+        lower, vals, vecs, start = _warm_band(n_atoms, lam)
+        infos = _factor_spy(monkeypatch)
+        _assert_lowest_pair(fullmodel._lowest_banded(lower, start), vals, vecs, lower)
+        # from a warm start every shift factors
+        assert infos and not any(infos)
+
+    @pytest.mark.parametrize("n_atoms,lam", [(5, 0.8), (20, 0.45), (40, 0.8)])
+    def test_second_eigenvector_start_finds_the_ground_level(self, n_atoms, lam,
+                                                            monkeypatch):
+        # the start's Rayleigh quotient is E1, so its shift lies above E0 and
+        # does not factor: bisection must bring the shift below E0
+        lower, vals, vecs, _ = _warm_band(n_atoms, lam)
+        assert vals[1] - vals[0] > 1e-3
+        infos = _factor_spy(monkeypatch)
+        _assert_lowest_pair(fullmodel._lowest_banded(lower, vecs[:, 1]), vals, vecs, lower)
+        assert infos[0] != 0 and 0 in infos
+
+    def test_cold_start_finds_the_ground_level(self):
+        lower, vals, vecs, _ = _warm_band(20, 0.8)
+        _assert_lowest_pair(fullmodel._lowest_banded(lower), vals, vecs, lower)
+
+    def test_shift_cap_is_a_convergence_error(self, monkeypatch):
+        # the ground vector at cutoff 28 is not yet the one at 56
+        lower, _, _, start = _warm_band(20, 0.8, n_cut=28)
+        monkeypatch.setattr(fullmodel, "_BAND_SHIFT_CAP", 1)
+        with pytest.raises(ConvergenceError, match=f"{lower.shape[1]}-state block"):
+            fullmodel._lowest_banded(lower, start)
+
+    def test_factorisations_that_never_succeed_stop_at_the_cap(self, monkeypatch):
+        # a failure at every shift, the Gershgorin floor included, bisects an
+        # empty bracket; the cap still ends the solve
+        lower, _, _, start = _warm_band(20, 0.8, n_cut=28)
+        factor = scipy.linalg.lapack.dpbtrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
+                            lambda *args, **kwargs: (factor(*args, **kwargs)[0], 1))
+        with pytest.raises(ConvergenceError, match="banded inverse iteration"):
+            fullmodel._lowest_banded(lower, start)
 
 
 def _parent_ground_full(params, tol=1e-8, tail_threshold=1e-10):
@@ -501,6 +672,27 @@ def _outcome(params, **kwargs):
             r.parity_gap, r.tail_mass)
 
 
+def _assert_agrees(result, expected, same_cutoff=True):
+    """``result`` agrees with the _outcome tuple ``expected`` as far as
+    solves by different eigensolvers can: energy to 1e-12 max(1, |E|), parity
+    where the gap resolves it, rho_a to 1e-12, S to 1e-9 and C_w to its
+    sqrt(eps) floor, and with ``same_cutoff`` the cutoff and the tail mass."""
+    energy, amplitudes, n_cut, parity, gap, tail = expected
+    parent = PureState(amplitudes=np.frombuffer(amplitudes), n_atoms=result.state.n_atoms)
+    assert abs(result.energy - energy) <= 1e-12 * max(1.0, abs(energy))
+    if gap > 1e-10 * max(1.0, abs(energy)):
+        assert result.parity == parity
+    if same_cutoff:
+        assert result.n_cut_used == n_cut
+        assert abs(result.tail_mass - tail) <= 1e-12
+    assert np.abs(trace_out_field(result.state)
+                  - trace_out_field(parent)).max() <= 1e-12
+    assert abs(entropy_of_ground(result.state) - entropy_of_ground(parent)) <= 1e-9
+    # C_w's sqrt(eps) floor, as in test_ground_full_matches_cold_dense_solves
+    cw_atol = 3.0 * math.sqrt(np.finfo(float).eps)
+    assert abs(cw_of_ground(result.state) - cw_of_ground(parent)) <= cw_atol
+
+
 def _cutoff_spy(monkeypatch):
     """Record the cutoff of every _solve_cutoff call."""
     cutoffs = []
@@ -540,9 +732,11 @@ def _dense_first_points():
 
 
 # the points where twice initial_cutoff is sparse, so ground_full halves its
-# first cutoff: the full-solve-large-n strata, two superradiant N_a = 40
-# points and the sparse points of the certify grid
-_SPARSE_FIRST = ([_params(lam=lam, eta=0.7, n_atoms=n_atoms) for n_atoms, lam in _LARGE_GRID]
+# first cutoff: the full-solve-large-n strata, a point on each side of
+# _BAND_LIMIT, two superradiant N_a = 40 points and the sparse points of the
+# certify grid
+_SPARSE_FIRST = ([_params(lam=lam, eta=0.7, n_atoms=n_atoms)
+                  for n_atoms, lam in _LARGE_GRID + _ACROSS_BAND_LIMIT]
                  + [_params(lam=lam, n_atoms=40) for lam in (1.0, 2.0)]
                  + [params for n_atoms in range(5, 9) for params in _certify_grid(n_atoms)
                     if not _dense_first(params)])
@@ -564,20 +758,10 @@ class TestCertifiedFirstCutoff:
     @pytest.mark.parametrize("params", _SPARSE_FIRST, ids=lambda p: f"{p.n_atoms}-{p.lam}-{p.eta}")
     def test_sparse_regime_agrees_with_the_parent_loop(self, params, monkeypatch):
         expected, _ = _parent_ground_full(params)
-        energy, amplitudes, _, parity, gap, _ = expected
-        parent = PureState(amplitudes=np.frombuffer(amplitudes), n_atoms=params.n_atoms)
         cutoffs = _cutoff_spy(monkeypatch)
         result = ground_full(params)
         assert fullmodel._largest_block(params.n_atoms, cutoffs[0]) <= fullmodel._DENSE_LIMIT
-        assert abs(result.energy - energy) <= 1e-12 * max(1.0, abs(energy))
-        if gap > 1e-10 * max(1.0, abs(energy)):
-            assert result.parity == parity
-        assert np.abs(trace_out_field(result.state)
-                      - trace_out_field(parent)).max() <= 1e-12
-        assert abs(entropy_of_ground(result.state) - entropy_of_ground(parent)) <= 1e-9
-        # C_w's sqrt(eps) floor, as in test_ground_full_matches_cold_dense_solves
-        cw_atol = 3.0 * math.sqrt(np.finfo(float).eps)
-        assert abs(cw_of_ground(result.state) - cw_of_ground(parent)) <= cw_atol
+        _assert_agrees(result, expected, same_cutoff=False)
 
     def test_bound_holds_at_every_dense_point(self):
         points = list(_dense_first_points())
@@ -649,12 +833,14 @@ class TestCertifiedFirstCutoff:
     @pytest.mark.parametrize("tol", [1e-15, 1e-16])
     def test_forced_bound_failure_solves_the_first_cutoff(self, n_atoms, lam, tol,
                                                           monkeypatch):
-        # tol * |E| below the rounding allowance: the bound cannot certify
+        # tol * |E| below the rounding allowance: the bound cannot certify.
+        # The loop then doubles into banded cutoffs, which the parent loop
+        # solves by ARPACK, so the energies agree to 1e-12 relative
         params = _params(lam=lam, eta=0.7, delta=0.3, n_atoms=n_atoms)
         n0 = initial_cutoff(params)
         expected, parent_cutoffs = _parent_ground_full(params, tol=tol)
         cutoffs = _cutoff_spy(monkeypatch)
-        assert _outcome(params, tol=tol) == expected
+        _assert_agrees(ground_full(params, tol=tol), expected)
         assert cutoffs[:2] == [2 * n0, n0]
         assert sorted(cutoffs) == parent_cutoffs
 
@@ -734,11 +920,12 @@ def _thread_spy(monkeypatch, owner, name, get):
 
 
 def _blocks():
-    """A dense and a CSR parity block of one N_a = 20 Hamiltonian."""
+    """A dense, a CSR and a banded parity block of one N_a = 20 Hamiltonian."""
     params = _params(lam=0.8, eta=0.7, n_atoms=20)
     dense = fullmodel._hamiltonian(params, fullmodel._layout(20, 10, 0))
-    csr = fullmodel._hamiltonian(params, fullmodel._layout(20, 40, 0), sparse=True)
-    return dense, csr
+    sparse = fullmodel._layout(20, 40, 0)
+    return (dense, fullmodel._hamiltonian(params, sparse, sparse=True),
+            fullmodel._band_storage(params, sparse))
 
 
 def _sweep_spec():
@@ -748,15 +935,23 @@ def _sweep_spec():
 
 @needs_openblas
 class TestBlasThreads:
-    def test_dense_solves_run_on_one_thread_arpack_on_the_callers(
+    def test_dense_solves_run_on_one_thread_sparse_on_the_callers(
             self, blas_count, monkeypatch):
+        # banded Cholesky took the same time on one thread as on two, and a
+        # pin around it made whole solves up to 20% slower (README)
         dense_seen = _thread_spy(monkeypatch, scipy.linalg, "eigh", blas_count)
         arpack_seen = _thread_spy(monkeypatch, scipy.sparse.linalg, "eigsh",
                                   blas_count)
-        for block in _blocks():
+        banded_seen = _thread_spy(monkeypatch, scipy.linalg.lapack, "dpbtrf",
+                                  blas_count)
+        dense, csr, band = _blocks()
+        for block in (dense, csr):
             fullmodel._lowest_pair(block)
             assert blas_count() == 2
+        fullmodel._lowest_banded(band)
+        assert blas_count() == 2
         assert (dense_seen, arpack_seen) == ([1], [2])
+        assert banded_seen and set(banded_seen) == {2}
 
     def test_caller_count_is_back_after_a_failed_dense_solve(self, blas_count,
                                                              monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicke_lmg import rwa
+from dicke_lmg import fullmodel, rwa
 from dicke_lmg import sweep as sweep_mod
 from dicke_lmg.cli import read_csv, write_csv
 from dicke_lmg.entanglement import cw_of_ground, entropy_of_ground
@@ -338,8 +338,15 @@ class TestBoundaries:
         assert boundary_trace(back, spec) == boundary_trace(records, spec) != []
         assert first_lambda_boundaries(back, spec) == first_lambda_boundaries(records, spec)
 
-    def test_arpack_failure_is_flagged_noconv(self, failing_arpack):
-        # parity blocks of about 1000 states at N_a = 20 go through ARPACK
+    def test_banded_failure_is_flagged_noconv(self, failing_banded):
+        # parity blocks of about 1000 states at N_a = 20 are banded
         spec = _spec(solver="full", n_atoms=20, lam_axis=(0.7, 0.8, 2),
+                     eta_axis=(0.6, 0.7, 2))
+        assert [r.flags for r in run_sweep(spec)] == ["noconv"] * 4
+
+    def test_arpack_failure_is_flagged_noconv(self, failing_arpack):
+        # the half-bandwidth is N_a // 2 + 1: from N_a = 2 _BAND_LIMIT on,
+        # sparse-sized blocks go through ARPACK
+        spec = _spec(solver="full", n_atoms=2 * fullmodel._BAND_LIMIT, lam_axis=(0.7, 0.8, 2),
                      eta_axis=(0.6, 0.7, 2))
         assert [r.flags for r in run_sweep(spec)] == ["noconv"] * 4

@@ -4,16 +4,19 @@
     PYTHONPATH=src python3 tools/full_solver_timings.py large-n
 
 ``crossover`` times the lowest eigenpair of one parity block (sector 0,
-eta = 0.7) three ways, as the median of 9 calls in ms: dense ``eigh``, ARPACK
-from the uniform vector (cold), and ARPACK from the zero-padded ground vector
-of cutoff n_cut // 2 (warm), for blocks of about 120 to 1000 states at
-N_a = 5..40. Each call goes through ``fullmodel._lowest_pair``, so dense
-``eigh`` runs on one BLAS thread and ARPACK on the caller's, as in the solver.
-``large-n`` times whole ``ground_full`` solves (delta = eta = 0,
-parity blocks) at N_a 10..80 and reports n_cut_used.
+eta = 0.7) four ways, as the median of 9 calls in ms: dense ``eigh``, ARPACK
+from the uniform vector (cold), ARPACK from the zero-padded ground vector of
+cutoff n_cut // 2 (warm), and banded inverse iteration from that same vector
+(band), for blocks of about 120 to 4000 states at N_a = 5..120. Each call goes
+through ``fullmodel._lowest_pair`` or ``fullmodel._lowest_banded``, so dense
+``eigh`` runs on one BLAS thread and ARPACK and the banded solve on the
+caller's, as in the solver; kd is the block's half-bandwidth, and dense is
+skipped above 1000 states. ``large-n`` times whole ``ground_full`` solves
+(delta = eta = 0, parity blocks) at N_a 10..160 and reports n_cut_used.
 """
 
 import argparse
+import math
 import statistics
 import time
 
@@ -32,29 +35,32 @@ def _median_ms(call, repeats=9):
 
 
 def crossover():
-    print("N_a   lam  n_cut  states   dense    cold    warm")
-    for n_atoms in (5, 10, 20, 40):
-        for states in (120, 200, 300, 350, 400, 500, 700, 1000):
+    print("N_a   lam  n_cut  states  kd   dense    cold    warm    band")
+    for n_atoms in (5, 10, 20, 40, 48, 60, 80, 120):
+        for states in (120, 200, 300, 350, 400, 500, 700, 1000, 2000, 4000):
             n_cut = max(2, round(2 * states / (n_atoms + 1)) - 1)
             for lam in (0.3, 0.8):
                 params = ModelParams(omega_f=1.0, delta=0.0, eta=0.7, lam=lam,
                                      n_atoms=n_atoms)
                 layout = fullmodel._Layout.build(n_atoms, n_cut, 0)
-                dense = fullmodel._hamiltonian(params, layout)
                 csr = fullmodel._hamiltonian(params, layout, sparse=True)
+                band = fullmodel._band_storage(params, layout)
                 half = fullmodel._Layout.build(n_atoms, n_cut // 2, 0)
                 _, warm = fullmodel._lowest_pair(fullmodel._hamiltonian(params, half))
                 dim = layout.index.size
-                times = (_median_ms(lambda: fullmodel._lowest_pair(dense)),
+                dense = csr.toarray() if dim <= 1000 else None
+                times = (math.nan if dense is None
+                         else _median_ms(lambda: fullmodel._lowest_pair(dense)),
                          _median_ms(lambda: fullmodel._lowest_pair(csr)),
-                         _median_ms(lambda: fullmodel._lowest_pair(csr, warm)))
-                print(f"{n_atoms:>3} {lam:>5} {n_cut:>6} {dim:>7}"
+                         _median_ms(lambda: fullmodel._lowest_pair(csr, warm)),
+                         _median_ms(lambda: fullmodel._lowest_banded(band, warm)))
+                print(f"{n_atoms:>3} {lam:>5} {n_cut:>6} {dim:>7} {layout.half_bandwidth:>3}"
                       + "".join(f"{t:>8.2f}" for t in times), flush=True)
 
 
 def large_n():
     print("N_a  " + "  ".join(f"{'lam = ' + str(lam):>20}" for lam in (0.3, 1.0, 2.0)))
-    for n_atoms in (10, 20, 40, 80):
+    for n_atoms in (10, 20, 40, 80, 120, 160):
         cells = []
         for lam in (0.3, 1.0, 2.0):
             params = ModelParams(omega_f=1.0, delta=0.0, eta=0.0, lam=lam,
