@@ -59,10 +59,9 @@ def random_product_state(rng: np.random.Generator, n_atoms: int,
     return PureState(amplitudes=amp, n_atoms=n_atoms)
 
 
-def sturm_lowest_eigenvalue(diag: np.ndarray, offdiag: np.ndarray,
-                            tol: float = 1e-13) -> float:
+def sturm_lowest_eigenvalue(diag: np.ndarray, offdiag: np.ndarray) -> float:
     """Lowest eigenvalue of a symmetric tridiagonal matrix by Sturm-sequence
-    bisection (independent of LAPACK)."""
+    bisection to 1e-13 relative (independent of LAPACK)."""
 
     def count_below(x: float) -> int:
         count = 0
@@ -78,7 +77,7 @@ def sturm_lowest_eigenvalue(diag: np.ndarray, offdiag: np.ndarray,
 
     radius = np.abs(diag).max() + 2 * (np.abs(offdiag).max() if offdiag.size else 0)
     lo, hi = -radius - 1.0, radius + 1.0
-    while hi - lo > tol * max(1.0, abs(lo)):
+    while hi - lo > 1e-13 * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
         if count_below(mid) >= 1:
             hi = mid
@@ -87,11 +86,23 @@ def sturm_lowest_eigenvalue(diag: np.ndarray, offdiag: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+def _bisect(below, lo: float, hi: float, steps: int) -> float:
+    """Midpoint of [lo, hi] after ``steps`` halvings: a midpoint where
+    ``below`` holds becomes the new lo, any other the new hi."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # ------------------------------------------------------------------ suites
 
-def check_commutators(seed: int = 0, n_atoms_max: int = 8) -> tuple[bool, str]:
+def check_commutators(seed: int = 0) -> tuple[bool, str]:
     worst = 0.0
-    for na in range(1, n_atoms_max + 1):
+    for na in range(1, 9):
         jx, jy, jz = jx_matrix(na), jy_matrix(na), jz_matrix(na)
         j = na / 2.0
         worst = max(worst,
@@ -128,10 +139,10 @@ def check_rwa_conservation(seed: int = 0) -> tuple[bool, str]:
     return ok, f"[H, N] residual {worst_comm:.2e}, block-spectrum gap {worst_spec:.2e}"
 
 
-def check_jacobi_nondegeneracy(seed: int = 0, draws: int = 40) -> tuple[bool, str]:
+def check_jacobi_nondegeneracy(seed: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     min_gap = np.inf
-    for _ in range(draws):
+    for _ in range(40):
         params = ModelParams(omega_f=1.0, delta=rng.uniform(-1, 1),
                              eta=rng.uniform(-1, 2), lam=rng.uniform(0.05, 2.0),
                              n_atoms=int(rng.integers(2, 7)))
@@ -145,10 +156,10 @@ def check_jacobi_nondegeneracy(seed: int = 0, draws: int = 40) -> tuple[bool, st
     return min_gap > 1e-10, f"smallest ground-state gap {min_gap:.2e}"
 
 
-def check_analytic_2x2(seed: int = 0, draws: int = 100) -> tuple[bool, str]:
+def check_analytic_2x2(seed: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(100):
         params = ModelParams(omega_f=rng.uniform(0.5, 2.0),
                              delta=rng.uniform(-1, 1), eta=rng.uniform(-1, 2),
                              lam=rng.uniform(0.01, 2.0),
@@ -170,28 +181,21 @@ def check_critical_crossing(seed: int = 0) -> tuple[bool, str]:
             params = ModelParams(omega_f=1.0, delta=0.0, eta=eta, lam=0.1,
                                  n_atoms=na)
             target = rwa.critical_coupling_1(params)
-            lo, hi = 0.5 * target, 1.5 * target
 
             def gap(lam: float) -> float:
                 p = params.replace(lam=lam)
                 return rwa.subspace_energy(p, 0) - rwa.subspace_energy(p, 1)
 
-            flo = gap(lo)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if gap(mid) * flo > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            worst = max(worst, abs(0.5 * (lo + hi) - target))
+            flo = gap(0.5 * target)
+            root = _bisect(lambda lam: gap(lam) * flo > 0, 0.5 * target, 1.5 * target, 80)
+            worst = max(worst, abs(root - target))
     return worst < 1e-10, f"max |crossing - closed form| = {worst:.2e}"
 
 
-def check_concurrence_oracle(seed: int = 0, n_atoms: int = 6,
-                             draws: int = 30) -> tuple[bool, str]:
+def check_concurrence_oracle(seed: int = 0, n_atoms: int = 6) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(30):
         state = random_product_state(rng, n_atoms, n_cut=2)
         combinatorial = entanglement.reduce_to_two_qubits(
             entanglement.trace_out_field(state), n_atoms)
@@ -212,15 +216,13 @@ def check_hp_crossing(seed: int = 0) -> tuple[bool, str]:
             if params.omega + (1 / params.n_atoms - 1) * params.eta > 0.05:
                 break
         target = classical.critical_coupling_cl(params)
-        lo, hi = 1e-6, 4.0 * target + 1.0
-        flo = classical.hp_first_energy(params.replace(lam=lo))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if classical.hp_first_energy(params.replace(lam=mid)) * flo > 0:
-                lo = mid
-            else:
-                hi = mid
-        worst = max(worst, abs(0.5 * (lo + hi) - target))
+
+        def energy(lam: float) -> float:
+            return classical.hp_first_energy(params.replace(lam=lam))
+
+        flo = energy(1e-6)
+        root = _bisect(lambda lam: energy(lam) * flo > 0, 1e-6, 4.0 * target + 1.0, 200)
+        worst = max(worst, abs(root - target))
     return worst < 1e-10, f"max |E-root - lam_c1^(CL)| = {worst:.2e}"
 
 
@@ -248,16 +250,11 @@ def check_mean_field(seed: int = 0) -> tuple[bool, str]:
                              eta=rng.uniform(0.0, 0.6), lam=0.1,
                              n_atoms=int(rng.integers(3, 40)))
         target = classical.critical_coupling_clcr(params)
-        lo, hi = 1e-6, 2.0 * target + 0.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            trivial = classical.mean_field_minimize(
-                params.replace(lam=mid)).beta == 0.0
-            if trivial:
-                lo = mid
-            else:
-                hi = mid
-        worst = max(worst, abs(0.5 * (lo + hi) - target))
+
+        def trivial(lam: float) -> bool:
+            return classical.mean_field_minimize(params.replace(lam=lam)).beta == 0.0
+
+        worst = max(worst, abs(_bisect(trivial, 1e-6, 2.0 * target + 0.5, 60) - target))
     return worst < 1e-6, f"max |boundary - lam_c1^(CLCR)| = {worst:.2e}"
 
 

@@ -452,7 +452,11 @@ def _certifies(params: ModelParams, n_cut: int, solved: dict, tol: float) -> boo
     """Whether the blocks solved at 2 n_cut show, without solving n_cut, that
     ground_full's energy test between n_cut and 2 n_cut passes: the energy
     change is below tol * max(1, |E|), and no energy within the bounds moves
-    the parity choice at n_cut off the one at 2 n_cut."""
+    the parity choice at n_cut off the one at 2 n_cut. Never where a block at
+    2 n_cut is above _DENSE_LIMIT: the allowance is dense eigh's backward
+    error."""
+    if _largest_block(params.n_atoms, 2 * n_cut) > _DENSE_LIMIT:
+        return False
     bounds = _truncation_bounds(params, n_cut, solved)
     low = {s: solved[s][0] - allowance for s, (_, allowance) in bounds.items()}
     high = {s: solved[s][0] + max(beta, 0.0) + allowance
@@ -493,14 +497,15 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     Doubles the photon cutoff from n0 until the energy change between
     successive cutoffs is below tol * max(1, |E|) and the probability on the
     top two photon layers is below tail_threshold. n0 is
-    :func:`initial_cutoff`, halved until every block at 2 n0 is dense (for
-    N_a <= 232 it always gets there). Each doubling starts its banded or
-    ARPACK solves from the previous cutoff's block vectors.
+    :func:`initial_cutoff`, halved until every block at 2 n0 is dense or n0
+    is 1 (for N_a <= 232 the blocks get there). Each doubling starts its
+    banded or ARPACK solves from the previous cutoff's block vectors.
 
-    When every block at 2 n0 is dense, 2 n0 is solved first and n0 only if
-    the bound of :func:`_truncation_bounds` on the energy change does not
-    show that the energy test between n0 and 2 n0 passes. Every result is the
-    one that solving n0 first gives, bit for bit.
+    The first step solves 2 n0, and solves n0 only where :func:`_certifies`
+    does not show from the 2 n0 blocks that the energy test between n0 and
+    2 n0 passes; the first comparison is against E(2 n0) itself otherwise.
+    Every result is the one that solving n0 first gives, bit for bit where
+    the blocks at 2 n0 are dense.
 
     Raises ConvergenceError past the cutoff cap _N_CUT_MAX.
     ``use_parity_blocks`` accepts only True, for callers that still pass it.
@@ -511,36 +516,24 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     n_cut = initial_cutoff(params)
     while n_cut > 1 and _largest_block(na, 2 * n_cut) > _DENSE_LIMIT:
         n_cut //= 2
-    prev_energy, blocks, ahead = None, None, None
-    if _largest_block(na, 2 * n_cut) <= _DENSE_LIMIT:
-        # the loop starts at 2 n0, comparing against E(n0), or against E(2 n0)
-        # itself where the bound shows that the energy test passes either way
-        ahead = _solve_cutoff(params, 2 * n_cut)
-        if _certifies(params, n_cut, ahead, tol):
-            prev_energy = ahead[_ground_sector(ahead)[0]][0]
-        else:
-            first = _solve_cutoff(params, n_cut)
-            prev_energy = first[_ground_sector(first)[0]][0]
-        n_cut *= 2
+    blocks = _solve_cutoff(params, 2 * n_cut)
+    first = blocks if _certifies(params, n_cut, blocks, tol) else _solve_cutoff(params, n_cut)
+    prev_energy = first[_ground_sector(first)[0]][0]
+    n_cut *= 2
     while n_cut <= _N_CUT_MAX:
-        if ahead is None:
-            blocks = _solve_cutoff(params, n_cut, starts=blocks)
-        else:
-            blocks, ahead = ahead, None
         sector, parity, gap = _ground_sector(blocks)
         energy = blocks[sector][0]
         vec = np.zeros((n_cut + 1) * (na + 1))
         vec[blocks[sector][2].index] = blocks[sector][1]
         tail = float(np.sum(vec[-2 * (na + 1):] ** 2))
-        if (prev_energy is not None
-                and abs(energy - prev_energy) < tol * max(1.0, abs(energy))
-                and tail < tail_threshold):
+        if abs(energy - prev_energy) < tol * max(1.0, abs(energy)) and tail < tail_threshold:
             vec = fix_sign(vec)
             state = PureState(amplitudes=vec / np.linalg.norm(vec), n_atoms=na)
             return ConvergedGround(energy=energy, state=state, n_cut_used=n_cut,
                                    tail_mass=tail, parity=parity, parity_gap=gap)
-        prev_energy = energy
-        n_cut *= 2
+        prev_energy, n_cut = energy, 2 * n_cut
+        if n_cut <= _N_CUT_MAX:
+            blocks = _solve_cutoff(params, n_cut, starts=blocks)
     raise ConvergenceError(
         f"photon cutoff cap {_N_CUT_MAX} exceeded (lam = {params.lam}); "
         "deep superradiant regime beyond desk scale")

@@ -151,12 +151,12 @@ class PureState:
     k0: int = 0
 
     def __post_init__(self):
+        check_count("n_atoms", self.n_atoms, 1)
+        check_count("k0", self.k0, 0)
         amp = np.asarray(self.amplitudes, dtype=float)
         object.__setattr__(self, "amplitudes", amp)
         if amp.ndim != 1 or amp.size == 0 or amp.size % (self.n_atoms + 1):
             raise ValueError("amplitudes must fill whole layers of N_a + 1")
-        if self.k0 < 0:
-            raise ValueError("k0 must be >= 0")
         if abs(amp @ amp - 1.0) > 1e-12:
             raise ValueError("state is not normalized to 1e-12")
 

@@ -96,8 +96,7 @@ def build_subspace(params: ModelParams, n: int) -> TridiagMatrix:
     diagonal d_j = m (delta + eta m / N_a) and couples to row j+1 with
     lam N_a^{-1/2} sqrt(j+1 (N_a+j+1-n)(n-j)).
     """
-    if n < 0:
-        raise ValueError("subspace index n must be >= 0")
+    check_count("subspace index n", n, 0)
     diag, offdiag = _jacobi_bands(params, [n], [params.lam])
     size = min(n, params.n_atoms) + 1
     return TridiagMatrix(diag=diag[0, :size], offdiag=offdiag[0, 0, :size - 1],
@@ -195,23 +194,27 @@ def _lowest(params: ModelParams, ns: np.ndarray, lams: np.ndarray) -> np.ndarray
 
     Each block is padded to (N_a+1) x (N_a+1); its padded rows are decoupled
     and hold a sentinel above the block's Gershgorin upper bound, so the
-    lowest eigenvalue of the padded matrix is the block's.
+    lowest eigenvalue of the padded matrix is the block's. Solved in chunks
+    of blocks and couplings, each stack at most _STACK_FLOATS (or one block).
     """
     width = params.n_atoms + 1
     rows = np.arange(width)
-    held = rows < np.minimum(ns, params.n_atoms)[:, None] + 1
-    step = max(1, _STACK_FLOATS // (len(ns) * width * width))
+    n_step = max(1, min(len(ns), _STACK_FLOATS // (width * width)))
+    lam_step = max(1, _STACK_FLOATS // (n_step * width * width))
     lowest = np.empty((len(lams), len(ns)))
-    for i in range(0, len(lams), step):
-        diag, offdiag = _jacobi_bands(params, ns, lams[i:i + step])
-        reach = np.zeros(offdiag.shape[:-1] + (width,))
-        reach[..., 1:] += offdiag
-        reach[..., :-1] += offdiag
-        upper = np.where(held, diag + reach, -np.inf).max(axis=-1, keepdims=True)
-        stack = np.zeros(offdiag.shape[:-1] + (width, width))
-        stack[..., rows, rows] = np.where(held, diag, upper + 1.0)
-        stack[..., rows[1:], rows[:-1]] = offdiag
-        lowest[i:i + step] = np.linalg.eigvalsh(stack)[..., 0]
+    for j in range(0, len(ns), n_step):
+        chunk = ns[j:j + n_step]
+        held = rows < np.minimum(chunk, params.n_atoms)[:, None] + 1
+        for i in range(0, len(lams), lam_step):
+            diag, offdiag = _jacobi_bands(params, chunk, lams[i:i + lam_step])
+            reach = np.zeros(offdiag.shape[:-1] + (width,))
+            reach[..., 1:] += offdiag
+            reach[..., :-1] += offdiag
+            upper = np.where(held, diag + reach, -np.inf).max(axis=-1, keepdims=True)
+            stack = np.zeros(offdiag.shape[:-1] + (width, width))
+            stack[..., rows, rows] = np.where(held, diag, upper + 1.0)
+            stack[..., rows[1:], rows[:-1]] = offdiag
+            lowest[i:i + lam_step, j:j + n_step] = np.linalg.eigvalsh(stack)[..., 0]
     return _energy_offset(params, ns) + lowest
 
 

@@ -874,6 +874,28 @@ class TestCertifiedFirstCutoff:
             sizes = [fullmodel._layout(n_atoms, n_cut, s).index.size for s in (0, 1)]
             assert fullmodel._largest_block(n_atoms, n_cut) == max(sizes)
 
+    def test_no_certificate_from_blocks_above_the_dense_limit(self):
+        # N_a = 240: cutoff 2 has blocks of 362 and 361 states, solved by
+        # ARPACK, whose error the allowance for dense eigh does not cover
+        params = _params(lam=0.0, n_atoms=240)
+        solved = fullmodel._solve_cutoff(params, 2)
+        assert [solved[s][2].index.size for s in (0, 1)] == [362, 361]
+        assert not fullmodel._certifies(params, 1, solved, 1e-8)
+
+    @pytest.mark.parametrize("n_atoms,energy", [(240, -120.00506362640212),
+                                                (400, -200.00506371463203)])
+    def test_no_dense_doubled_cutoff_solves_two_then_one(self, n_atoms, energy,
+                                                         monkeypatch):
+        # from N_a = 233 on, cutoff 2 has a block above _DENSE_LIMIT, so n0
+        # halves to 1 and the certificate refuses; the energy is the one of
+        # the loop that solved 1 and then 2 warm, to 1e-12 relative
+        params = _params(lam=0.1, n_atoms=n_atoms)
+        cutoffs = _cutoff_spy(monkeypatch)
+        result = ground_full(params)
+        assert cutoffs == [2, 1, 4, 8]
+        assert result.n_cut_used == 8
+        assert abs(result.energy - energy) <= 1e-12 * abs(energy)
+
     def test_no_certificate_where_the_parity_choice_may_flip(self):
         # the even block at the tie margin of the odd one: the choice at the
         # first cutoff could go either way, so only a solve can tell

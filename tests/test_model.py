@@ -106,6 +106,24 @@ def test_pure_state_normalization_enforced():
         PureState(np.array([0.6, 0.8]), n_atoms=2)    # not a whole layer
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(n_atoms=-1), "n_atoms"),
+    (dict(n_atoms=0), "n_atoms"),
+    (dict(n_atoms=1.0), "n_atoms"),
+    (dict(n_atoms=1, k0=0.5), "k0"),
+    (dict(n_atoms=1, k0=-1), "k0"),
+    (dict(n_atoms=1, k0=True), "k0"),
+])
+def test_pure_state_rejects_invalid_counts(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        PureState(np.array([0.6, 0.8]), **kwargs)
+
+
+def test_pure_state_accepts_numpy_integer_counts():
+    state = PureState(np.array([0.6, 0.8]), n_atoms=np.int64(1), k0=np.int32(2))
+    assert state.grid.shape == (1, 2)
+
+
 def test_pure_state_overlap_matches_by_label():
     a = _state(2, {(0, -1.0): 1.0})
     b = _state(2, {(1, 0.0): 0.6, (0, -1.0): 0.8})

@@ -63,9 +63,10 @@ class TestBuildSubspace:
             if mat.size > 1:
                 assert mat.offdiag.min() > 0
 
-    def test_rejects_negative_subspace(self):
-        with pytest.raises(ValueError):
-            build_subspace(_params(), -1)
+    @pytest.mark.parametrize("n", [-1, 1.5, 1.0, True, "1"])
+    def test_rejects_a_subspace_index_that_is_not_a_count(self, n):
+        with pytest.raises(ValueError, match="subspace index n must be an integer >= 0"):
+            build_subspace(_params(), n)
 
 
 class TestTridiagGround:
@@ -128,6 +129,31 @@ class TestGroundState:
         # subspace 1 lies 5e-10 lower here: inside the window, so still a tie
         near = ground_state(params.replace(lam=lam_c * (1 + 5e-10)))
         assert near.at_transition and near.subspace_index == 0
+
+    @pytest.mark.parametrize("lams", [[30.0], [0.5, 30.0, 2.0]])
+    def test_stacks_stay_bounded_with_the_same_bits(self, lams, monkeypatch):
+        # over a thousand blocks per coupling: the scan chunks over blocks
+        # too, and gives the bits of a scan that stacks every block at once
+        params = _params(eta=0.3, delta=0.05)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(stack):
+            sizes.append(stack.size)
+            return eigvalsh(stack)
+
+        def outcome():
+            del sizes[:]
+            return [(r.energy, r.subspace_index, r.at_transition,
+                     r.state.amplitudes.tobytes())
+                    for r in rwa.ground_states(params, lams)]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        chunked, cap = outcome(), rwa._STACK_FLOATS
+        assert len(sizes) > 2 and max(sizes) <= cap
+        monkeypatch.setattr(rwa, "_STACK_FLOATS", 1 << 40)
+        assert outcome() == chunked
+        assert max(sizes) > cap
 
     def test_unbounded_search_raises(self, monkeypatch):
         # the proven cap always certifies the scan; a cap of 3 cannot
