@@ -8,7 +8,7 @@ from .classical import (MeanFieldPoint, critical_coupling_cl,
 from .entanglement import (cw_of_ground, entropy_of_entanglement,
                            entropy_of_ground, reduce_to_two_qubits,
                            trace_out_field, wootters_concurrence)
-from .errors import ConvergenceError, UnboundedSearchError
+from .errors import ConvergenceError, InputError, UnboundedSearchError
 from .fullmodel import (ConvergedGround, FullHamiltonian, build_full,
                         build_rwa_product, critical_coupling_1_cr,
                         effective_coupling, ground_full)

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from . import classical, entanglement, fullmodel, rwa
+from .errors import InputError
 from .model import (ModelParams, ProductBasis, PureState, check_count,
                     jx_matrix, jy_matrix, jz_matrix)
 
@@ -276,23 +277,18 @@ SUITES = {
 _MAX_ORACLE_ATOMS = 16
 
 
-def _check_inputs(names: list[str], seed: int, n_atoms: int | None) -> None:
-    """The one check of run_suites' inputs, before any suite runs: known suite
-    names, a seed >= 0 and an oracle ensemble (n_atoms, None for the default)
-    of 2 to _MAX_ORACLE_ATOMS qubits. The CLI's check calls it too."""
-    for name in names:
+def run_suites(names: list[str] | None = None, seed: int = 0,
+               n_atoms: int | None = None) -> dict[str, tuple[bool, str]]:
+    """Raises InputError, before any suite runs, for an unknown suite name, a
+    seed below 0 or an oracle n_atoms other than None or 2.._MAX_ORACLE_ATOMS."""
+    selected = names or list(SUITES)
+    for name in selected:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+            raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     check_count("seed", seed, 0)
     if n_atoms is not None:
         check_count("n_atoms", n_atoms, 2)
         if n_atoms > _MAX_ORACLE_ATOMS:
-            raise ValueError(f"n_atoms must be <= {_MAX_ORACLE_ATOMS}, got {n_atoms!r}")
-
-
-def run_suites(names: list[str] | None = None, seed: int = 0,
-               n_atoms: int | None = None) -> dict[str, tuple[bool, str]]:
-    selected = names or list(SUITES)
-    _check_inputs(selected, seed, n_atoms)
+            raise InputError(f"n_atoms must be <= {_MAX_ORACLE_ATOMS}, got {n_atoms!r}")
     sized = {} if n_atoms is None else {"concurrence-oracle": {"n_atoms": n_atoms}}
     return {name: SUITES[name](seed=seed, **sized.get(name, {})) for name in selected}

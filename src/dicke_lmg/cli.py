@@ -9,7 +9,7 @@ both inconsistently is an error. A config file in key=value form may supply
 defaults; command-line flags take precedence. Numbers are emitted with 17
 significant digits so CSV/JSON round-trips are bit-faithful.
 
-Exit codes: 0 success, 1 runtime/solver failure, 2 usage error.
+Exit codes: 0 success, 1 runtime/solver failure, 2 usage error (InputError).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from importlib import metadata
 import numpy as np
 
 from . import checks, classical, fullmodel, rwa, sweep as sweep_mod
+from .errors import InputError
 from .model import ModelParams, check_count
 
 CSV_HEADER = "lambda,eta,energy,phase_index,cw,entropy_bits,flags"
@@ -41,36 +42,22 @@ def _version() -> str:
         return "unknown"
 
 
-class UsageError(Exception):
-    pass
-
-
-def _usage(build, **kwargs):
-    """build(**kwargs), reporting the ValueError of a rejected input as a
-    usage error."""
-    try:
-        return build(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _delta(args) -> float:
     if args.delta is None and args.omega is None:
-        raise UsageError("provide --delta or --omega")
+        raise InputError("provide --delta or --omega")
     if args.delta is not None and args.omega is not None:
         if not abs(args.delta - (args.omega - args.wf)) <= 1e-12:
-            raise UsageError("--delta and --omega are inconsistent "
+            raise InputError("--delta and --omega are inconsistent "
                              "(delta must equal omega - wf)")
     return args.delta if args.delta is not None else args.omega - args.wf
 
 
-def _build_params(args, lam: float | None = None, eta: float | None = None) -> ModelParams:
+def _build_params(args, lam: float | None = None) -> ModelParams:
     lam = lam if lam is not None else args.lam
-    eta = eta if eta is not None else args.eta
     if lam is None:
-        raise UsageError("missing --lambda")
-    return _usage(ModelParams, omega_f=args.wf, delta=_delta(args), eta=eta,
-                  lam=lam, n_atoms=args.na)
+        raise InputError("missing --lambda")
+    return ModelParams(omega_f=args.wf, delta=_delta(args), eta=args.eta,
+                       lam=lam, n_atoms=args.na)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, need_lambda: bool = True):
@@ -93,8 +80,8 @@ def cmd_solve(args) -> int:
     from .entanglement import cw_of_ground, entropy_of_ground
 
     params = _build_params(args)
-    _usage(check_count, name="n_atoms", value=params.n_atoms, least=2)   # for C_w
-    _usage(fullmodel._check_convergence, tol=args.tol)
+    check_count("n_atoms", params.n_atoms, 2)   # for C_w
+    fullmodel._check_convergence(tol=args.tol)
     if args.solver == "rwa":
         result = rwa.ground_state(params)
     else:
@@ -147,8 +134,6 @@ def cmd_critical(args) -> int:
 
 def cmd_ladder(args) -> int:
     params = _build_params(args, lam=args.lam_min)
-    _usage(rwa._check_ladder, lam_range=(args.lam_min, args.lam_max),
-           scan_points=args.points)
     crossings = rwa.transition_ladder(params, (args.lam_min, args.lam_max),
                                       scan_points=args.points)
     if not crossings:
@@ -198,8 +183,7 @@ def write_json(records, path: str):
 
 
 def cmd_sweep(args) -> int:
-    spec = _usage(
-        sweep_mod.SweepSpec,
+    spec = sweep_mod.SweepSpec(
         solver=args.solver, omega_f=args.wf, delta=_delta(args), n_atoms=args.na,
         lam_axis=(args.lam_min, args.lam_max, args.lam_points),
         eta_axis=(args.eta_min, args.eta_max, args.eta_points),
@@ -207,7 +191,7 @@ def cmd_sweep(args) -> int:
     # a sweep can take hours: refuse an unwritable destination before it starts
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
-        raise UsageError(f"output directory {directory!r} does not exist")
+        raise InputError(f"output directory {directory!r} does not exist")
     start = time.time()
     records = sweep_mod.run_sweep(spec)
     elapsed = time.time() - start
@@ -228,9 +212,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    names = [args.suite] if args.suite else list(checks.SUITES)
-    _usage(checks._check_inputs, names=names, seed=args.seed, n_atoms=args.na)
-    results = checks.run_suites(names, seed=args.seed, n_atoms=args.na)
+    results = checks.run_suites([args.suite] if args.suite else None,
+                                seed=args.seed, n_atoms=args.na)
     for name, (ok, msg) in results.items():
         print(f"[{'PASS' if ok else 'FAIL'}] {name:<20} {msg}")
     return 0 if all(ok for ok, _ in results.values()) else 1
@@ -309,7 +292,7 @@ def _load_config(argv: list[str]) -> list[str]:
         with open(known.config) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {known.config!r}: "
+        raise InputError(f"cannot read config file {known.config!r}: "
                          f"{exc.strerror}") from None
     extra: list[str] = []
     for line in lines:
@@ -333,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:         # argparse: --help, or a rejected flag
         return exc.code if exc.code is not None else 0
-    except UsageError as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

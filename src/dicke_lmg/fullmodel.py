@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InputError
 from .model import (DickeBasis, ModelParams, ProductBasis, PureState, fix_sign,
                     jp_matrix)
 
@@ -250,9 +250,14 @@ def critical_coupling_1_cr(params: ModelParams) -> float:
 
 
 def initial_cutoff(params: ModelParams) -> int:
-    """Displaced-oscillator estimate of the photon occupancy scale."""
-    return max(16, math.ceil(8.0 * params.lam ** 2 * params.n_atoms
-                             / params.omega_f ** 2) + params.n_atoms)
+    """Displaced-oscillator estimate of the photon occupancy scale; where it
+    overflows a float, from lam / omega_f held at _N_CUT_MAX."""
+    na = params.n_atoms
+    try:
+        return max(16, math.ceil(8.0 * params.lam ** 2 * na / params.omega_f ** 2) + na)
+    except (OverflowError, ZeroDivisionError):    # omega_f^2 may underflow to 0
+        ratio = min(params.lam / params.omega_f, _N_CUT_MAX)
+        return max(16, math.ceil(8.0 * ratio ** 2 * na) + na)
 
 
 @functools.cache
@@ -430,13 +435,13 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
     <phi|phi> = -<phi|H|chi> / <phi|phi>, the coupling between layers n_cut
     and n_cut + 1. The allowance is four times the backward error of dense
     eigh, dim eps ||H||, divided by <phi|phi>: it covers both eigenvalues, the
-    residual of v and beta's arithmetic. A block is a principal submatrix of
-    the whole H, so :func:`_norm_bound` on the whole basis bounds its norm."""
+    residual of v and beta's arithmetic. H is block diagonal, so the largest
+    block :func:`_norm_bound` is the whole-basis one, bit for bit: each row
+    sum adds the same entries in the same order."""
     na = params.n_atoms
-    norm = _norm_bound(params, _layout(na, 2 * n_cut, None))
+    norm = max(_norm_bound(params, block[2]) for block in solved.values())
     bounds = {}
-    for sector, block in solved.items():
-        vec, layout = block[1], _layout(na, 2 * n_cut, sector)
+    for sector, (_, vec, layout) in solved.items():
         phi = vec[:np.searchsorted(layout.k, n_cut, side="right")]
         weight = phi @ phi
         top = layout.k[layout.rows] == n_cut
@@ -474,7 +479,7 @@ def _check_convergence(**values: float) -> None:
     CLI's solve call it."""
     for name, value in values.items():
         if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")
+            raise InputError(f"{name} must be > 0, got {value!r}")
 
 
 def _check_kept(use_parity_blocks: bool = True, workers: int | None = None) -> None:
@@ -482,10 +487,10 @@ def _check_kept(use_parity_blocks: bool = True, workers: int | None = None) -> N
     full model is solved in parity blocks and sweeps run serially, so they
     accept only use_parity_blocks True and workers None or an integer 1."""
     if use_parity_blocks is not True:
-        raise ValueError(f"use_parity_blocks must be True, got {use_parity_blocks!r}")
+        raise InputError(f"use_parity_blocks must be True, got {use_parity_blocks!r}")
     if workers is not None and (not isinstance(workers, numbers.Integral)
                                 or isinstance(workers, bool) or workers != 1):
-        raise ValueError(f"workers must be None or 1, as sweeps run serially, "
+        raise InputError(f"workers must be None or 1, as sweeps run serially, "
                          f"got {workers!r}")
 
 

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 
 def check_count(name: str, value, least: int) -> None:
     """The one check of a count: an int or numpy integer >= least, not a bool
     or an integral float."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega_f", "delta", "eta", "lam"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InputError(f"{name} must be finite")
         if not self.omega_f > 0:
-            raise ValueError("omega_f must be > 0")
+            raise InputError("omega_f must be > 0")
         if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise InputError("lam must be >= 0")
         check_count("n_atoms", self.n_atoms, 1)
 
     @property

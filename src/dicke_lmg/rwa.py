@@ -20,7 +20,7 @@ import numpy as np
 import scipy.optimize
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import UnboundedSearchError
+from .errors import InputError, UnboundedSearchError
 from .model import ModelParams, PureState, check_count, fix_sign
 
 
@@ -63,6 +63,9 @@ _GUARD = 100.0
 _ROUNDING = 1e-12
 _STACK_FLOATS = 1 << 14
 _ROOT_TOL = 1e-14
+# the largest proven cap the scan accepts: at N_a = 5, lam = 1000 (cap 7.2e6)
+# scans in 17-19 s, and a cap of 2.0e7 (delta = 1e15 omega_f) ran past 60 s
+_N_SCAN_MAX = 1 << 24
 
 
 def _energy_offset(params: ModelParams, n):
@@ -179,13 +182,21 @@ class _TailBound:
         L(n + 1) > T = e_vac + guard(e_vac) certifies any scan. L(x) = T
         solves as sqrt(x) = (c + sqrt(c^2 + 4 omega_f (T + omega_f N_a/2 -
         d_min))) / (2 omega_f) with c = lam (N_a+1) / sqrt(N_a), a root past
-        n_mono.
+        n_mono. Raises UnboundedSearchError where it is not finite or lies
+        past _N_SCAN_MAX.
         """
         na, wf = self.params.n_atoms, self.params.omega_f
         target = self.e_vac + self.guard(self.e_vac)
         c = lams * (na + 1) / math.sqrt(na)
-        root = (c + np.sqrt(c * c + 4.0 * wf * (target + wf * na / 2.0 - self.d_min))) / (2.0 * wf)
-        return int(np.ceil(np.max(root * root, initial=0.0))) + 1
+        with np.errstate(over="ignore"):      # an infinite cap is refused below
+            disc = c * c + 4.0 * wf * (target + wf * na / 2.0 - self.d_min)
+            root = (c + np.sqrt(disc)) / (2.0 * wf)
+            cap = np.ceil(np.max(root * root, initial=0.0)) + 1
+        if not cap <= _N_SCAN_MAX:
+            raise UnboundedSearchError(
+                f"subspace scan cap n = {cap:.3g} lies past the scan limit {_N_SCAN_MAX} "
+                f"(lam up to {np.max(lams)}, omega_f = {wf}, delta = {self.params.delta})")
+        return int(cap)
 
 
 def _lowest(params: ModelParams, ns: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -229,9 +240,9 @@ def _scan(params: ModelParams, lams) -> np.ndarray:
     subspace n = 0..n_hi: whether the batched energy lies within the guard
     of the row's lowest.
 
-    Raises UnboundedSearchError if a coupling is not certified by the proven
-    cap :meth:`_TailBound.default_n_max`, which only a fault in the bound can
-    cause.
+    Raises UnboundedSearchError before any solve if the proven cap
+    :meth:`_TailBound.default_n_max` is out of reach, or if a coupling is not
+    certified by that cap, which only a fault in the bound can cause.
     """
     lams = np.asarray(lams, dtype=float)
     tail = _TailBound.of(params)
@@ -342,16 +353,6 @@ def first_nonvacuum_state(params: ModelParams) -> PureState:
     return _subspace_state(params.n_atoms, 1, np.array([h / norm, 1.0 / norm]))
 
 
-def _check_ladder(lam_range: tuple[float, float], scan_points: int) -> None:
-    """The one check of the ladder inputs: a positive, ordered, finite lam
-    range scanned on at least 2 points. transition_ladder and the CLI's
-    ladder call it."""
-    lo, hi = lam_range
-    if not (0 < lo < hi) or not math.isfinite(hi):
-        raise ValueError("lam range must be positive, ordered, and finite")
-    check_count("scan points", scan_points, 2)
-
-
 def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
                       scan_points: int = 400) -> list[tuple[float, int, int]]:
     """Locate first-order transitions (ground-subspace changes) in a lam range.
@@ -363,9 +364,13 @@ def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
     _ROOT_TOL + 4 eps |lam*|. A cell whose gap does not change sign gives
     its left end if the gap is zero there and its right end otherwise.
     Returns ascending (lam*, n_before, n_after) triples; empty if no
-    crossing lies in range.
+    crossing lies in range. Raises InputError before any scan for a range
+    that is not positive, ordered and finite, or scan_points below 2.
     """
-    _check_ladder(lam_range, scan_points)
+    lo, hi = lam_range
+    if not (0 < lo < hi) or not math.isfinite(hi):
+        raise InputError("lam range must be positive, ordered, and finite")
+    check_count("scan points", scan_points, 2)
     grid = np.linspace(*lam_range, scan_points)
     held = _scan(params, grid)
     indices = held.argmax(axis=1)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import fullmodel, rwa
 from .entanglement import cw_of_ground, entropy_of_ground
+from .errors import InputError
 from .model import ModelParams, PureState, check_count
 
 # a full-model neighbour fidelity below this marks a phase boundary
@@ -41,12 +42,12 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.solver not in ("rwa", "full"):
-            raise ValueError("solver must be 'rwa' or 'full'")
+            raise InputError("solver must be 'rwa' or 'full'")
         check_count("n_atoms", self.n_atoms, 2)   # the pair concurrence needs two
         for name, (lo, hi, count) in (("lam", self.lam_axis), ("eta", self.eta_axis)):
             check_count(f"{name} axis count", count, 2)
             if not lo < hi:
-                raise ValueError(f"{name} axis min must be < max")
+                raise InputError(f"{name} axis min must be < max")
         # every grid point lies between the low and the high corner, so if
         # both corners make valid ModelParams, every point does
         for corner in (0, 1):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dicke_lmg import fullmodel
+from dicke_lmg import fullmodel, rwa
 from dicke_lmg.cli import CSV_HEADER, main, read_csv, write_csv, write_json
+from dicke_lmg.errors import InputError
 from dicke_lmg.sweep import GridRecord
 
 
@@ -85,6 +86,47 @@ def test_invalid_input_is_usage_error(command, flags, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "usage error" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error,code,err", [
+    (InputError("bad input"), 2, "usage error: bad input\n"),
+    (ValueError("bad value"), 1, "error: ValueError: bad value\n"),
+])
+def test_exit_code_follows_the_error_type_inside_a_command(error, code, err,
+                                                          monkeypatch, capsys):
+    # an InputError is a usage error wherever it is raised; any other
+    # ValueError is a runtime failure
+    def solve(params):
+        raise error
+
+    monkeypatch.setattr(rwa, "ground_state", solve)
+    assert main(["solve", "--na", "2", "--delta", "0", "--lambda", "0.5"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("flags,error", [
+    ("--delta 0 --lambda 1e200", "UnboundedSearchError"),
+    ("--delta 0 --wf 1e-300 --lambda 0.5", "UnboundedSearchError"),
+    ("--delta 1e15 --lambda 0.5", "UnboundedSearchError"),
+    ("--delta 0 --wf 1e-300 --lambda 1e-300", "UnboundedSearchError"),
+    ("--solver full --delta 0 --lambda 1e200", "ConvergenceError"),
+    ("--solver full --delta 0 --wf 1e-300 --lambda 0.5", "ConvergenceError"),
+])
+def test_out_of_reach_input_is_a_typed_solver_failure(flags, error, monkeypatch, capsys):
+    # finite inputs far outside the omega_f = 1 scale: the RWA scan refuses
+    # its cap before solving a block, the full solve ends at a cutoff
+    def no_scan(*args):
+        raise AssertionError("scanned toward an out-of-reach cap")
+
+    monkeypatch.setattr(rwa, "_lowest", no_scan)
+    assert main(["solve", "--na", "2"] + flags.split()) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+
+def test_a_cap_within_the_scan_limit_still_solves(capsys):
+    # lam = 200 at N_a = 5: proven cap 288002, below rwa._N_SCAN_MAX
+    assert main(["solve", "--na", "5", "--delta", "0", "--lambda", "200", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["subspace_index"] > 0
 
 
 class TestOneQubit:

@@ -178,6 +178,17 @@ class TestGroundFull:
         assert initial_cutoff(_params(lam=0.1)) >= 16
         assert initial_cutoff(_params(lam=3.0)) > initial_cutoff(_params(lam=0.5))
 
+    @pytest.mark.parametrize("kwargs,n0", [
+        # lam^2 overflows, omega_f^2 underflows to 0, the estimate overflows
+        (dict(lam=1e200), 8 * 4096 ** 2 * 3 + 3),
+        (dict(omega_f=1e-300, lam=0.5), 8 * 4096 ** 2 * 3 + 3),
+        (dict(lam=1e154), 8 * 4096 ** 2 * 3 + 3),
+        # 0 / 0 in the estimate, 0 as a ratio
+        (dict(omega_f=1e-300, lam=0.0), 16),
+    ])
+    def test_initial_cutoff_of_an_estimate_past_a_float(self, kwargs, n0):
+        assert initial_cutoff(_params(**kwargs)) == n0
+
     @pytest.mark.parametrize("kwargs", [
         dict(tol=0.0),                 # no energy change is below a zero tolerance
         dict(tol=-1e-8),
@@ -777,6 +788,21 @@ class TestCertifiedFirstCutoff:
                 assert -allowance <= change <= max(beta, 0.0) + allowance
                 assert allowance < 1e-10
 
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8, 13])
+    def test_block_norm_bounds_are_the_whole_basis_bound(self, n_atoms):
+        # H is block diagonal and each row sum adds the same entries in the
+        # same order, so _truncation_bounds may take ||H|| from its blocks
+        rng = np.random.default_rng(n_atoms)
+        for _ in range(20):
+            params = _params(lam=rng.uniform(0, 3), eta=rng.uniform(-2, 2),
+                             delta=rng.uniform(-1, 1), omega_f=rng.uniform(0.2, 2),
+                             n_atoms=n_atoms)
+            n_cut = int(rng.integers(1, 80))
+            blocks = max(fullmodel._norm_bound(params, fullmodel._layout(n_atoms, n_cut, s))
+                         for s in (0, 1))
+            assert blocks == fullmodel._norm_bound(
+                params, fullmodel._layout(n_atoms, n_cut, None))
+
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8])
     def test_norm_bound_covers_the_spectrum(self, n_atoms):
         # the rounding allowance rests on ||H|| <= _norm_bound
@@ -905,10 +931,10 @@ class TestCertifiedFirstCutoff:
         assert fullmodel._certifies(params, n0, solved, 1e-8)
         even = solved[0][0]
         for odd in (even - 1e-10 * abs(even), even - 1e-10 * abs(even) + 1e-13):
-            tied = {0: solved[0], 1: (odd, solved[1][1])}
+            tied = {0: solved[0], 1: (odd, *solved[1][1:])}
             assert not fullmodel._certifies(params, n0, tied, 1e-8)
         for odd in (even - 1e-9, even + 1e-9):
-            apart = {0: solved[0], 1: (odd, solved[1][1])}
+            apart = {0: solved[0], 1: (odd, *solved[1][1:])}
             assert fullmodel._certifies(params, n0, apart, 1e-8)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,23 @@ class TestGroundState:
         monkeypatch.setattr(_TailBound, "default_n_max", lambda self, lams: 3)
         with pytest.raises(UnboundedSearchError):
             ground_state(_params(lam=3.0))
+
+    @pytest.mark.parametrize("kwargs,cap", [
+        (dict(lam=1e200), "inf"),
+        (dict(omega_f=1e-300, lam=0.5), "inf"),
+        (dict(delta=1e15, lam=0.5), "2e+07"),
+        (dict(omega_f=1e-300, lam=1e-300), "1e+292"),
+    ])
+    def test_out_of_reach_cap_is_refused_by_name(self, kwargs, cap):
+        params = _params(n_atoms=2, **kwargs)
+        with pytest.raises(UnboundedSearchError, match=f"cap n = {re.escape(cap)} "):
+            _TailBound.of(params).default_n_max(np.array([params.lam]))
+
+    @pytest.mark.parametrize("lam,cap", [(200.0, 288002), (1000.0, 7200002)])
+    def test_measured_caps_lie_within_the_scan_limit(self, lam, cap):
+        # scanned in about 0.7 s and 17-19 s
+        assert _TailBound.of(_params(lam=lam)).default_n_max(np.array([lam])) == cap
+        assert cap <= rwa._N_SCAN_MAX
 
 
 class TestCriticalCoupling:
