@@ -36,19 +36,24 @@ from .errors import ConvergenceError, InputError
 from .model import (DickeBasis, ModelParams, ProductBasis, PureState, fix_sign,
                     jp_matrix)
 
-# a parity block of at most this dimension is solved densely; above it by
-# banded inverse iteration or by ARPACK (_BAND_LIMIT). Cold ARPACK overtakes
-# dense eigh at 350-400 states for N_a = 5 and 10, 300-350 for N_a = 20 and
-# 200-350 for N_a = 40 (README). Every N_a = 5 block with lam <= 0.6 (at most
-# 123 states) stays dense
-_DENSE_LIMIT = 350
-# a block above _DENSE_LIMIT whose half-bandwidth is at most this is solved by
-# banded inverse iteration, a wider one by warm ARPACK; both choices are made
+# the largest parity block of the first certified step: ground_full halves its
+# first cutoff n0 until every block at 2 n0 has at most this many states, and
+# _certifies refuses a step above it. A block that is not banded is solved by
+# dense eigh up to this size and by ARPACK above
+_FIRST_STEP_LIMIT = 350
+# a block whose half-bandwidth is at most this, and which holds more than
+# _BAND_FLOOR states, is solved by banded inverse iteration; the choice is made
 # per parity block, from its own shape. In photon-major order the
-# half-bandwidth is N_a // 2 + 1, or one more in one sector at odd N_a (21 at
+# half-bandwidth is N_a // 2 + 1, or one more at odd N_a (21 at
 # N_a = 40, 41 at N_a = 80, 61 at N_a = 120). Banded whole solves win up to
 # half-bandwidth 41, are mixed at 51 and 61 and lose 1.5-2x at 81 (README)
 _BAND_LIMIT = 41
+# narrow blocks of at most this many states stay on dense eigh. The floor is
+# not a speed crossover (a cold banded solve is already faster at 99 states,
+# README): it keeps every block of the N_a = 5, lam <= 0.6 sweeps (at most 123
+# states) dense, so the acceptance-8 and full-sweep CSVs keep their bytes. It
+# must stay at or above 123
+_BAND_FLOOR = 128
 # the shifts a banded solve may try, factored or bisected; no solve on a grid
 # up to N_a = 80, lam = 2.5 needed 30
 _BAND_SHIFT_CAP = 100
@@ -314,8 +319,8 @@ def _start_vector(start: np.ndarray | None, dim: int) -> np.ndarray:
 def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a dense block by eigh on one BLAS thread, of a CSR
     block by ARPACK on the caller's BLAS threads. ARPACK starts from
-    :func:`_start_vector`. Narrow sparse-sized blocks take
-    :func:`_lowest_banded` instead."""
+    :func:`_start_vector`. :func:`_solve_cutoff` passes it the blocks that
+    :func:`_banded` does not take, dense up to _FIRST_STEP_LIMIT states."""
     if not scipy.sparse.issparse(matrix):
         with _one_blas_thread():
             vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
@@ -344,13 +349,21 @@ def _lowest_banded(lower: np.ndarray, start: np.ndarray | None = None
     that does not factor is bisected against the highest shift known to
     factor, at first one below the Gershgorin bound. x is accepted when
     r <= tol and its own shift factors: then rho - 2 tol < E0 <= rho. Raises
-    ConvergenceError once _BAND_SHIFT_CAP shifts have been tried."""
+    ConvergenceError once _BAND_SHIFT_CAP shifts have been tried, and before
+    the first where the largest row sum of |H|, a bound on ||H||, is not
+    finite or (2 ||H||)^2 overflows: the residual norms square entries of
+    up to that size."""
     depth, dim = lower.shape[0] - 1, lower.shape[1]
-    x = _start_vector(start, dim)
-    x /= np.linalg.norm(x)
     # the row sums of |H| give the Gershgorin bound min(H_ii - sum_j!=i |H_ij|)
     row_sums = scipy.linalg.blas.dsbmv(depth, 1.0, np.abs(lower), np.ones(dim), lower=1)
+    norm = float(np.max(row_sums))
+    if not math.isfinite(4.0 * norm * norm):
+        raise ConvergenceError(
+            f"banded inverse iteration cannot run on a {dim}-state block: "
+            f"its Gershgorin bound {norm:.3g} overflows when squared")
     below = float(np.min(lower[0] + np.abs(lower[0]) - row_sums)) - 1.0
+    x = _start_vector(start, dim)
+    x /= np.linalg.norm(x)
     above = math.inf
     shifted = lower.copy(order="F")
     tried = 0
@@ -387,24 +400,45 @@ def _largest_block(n_atoms: int, n_cut: int) -> int:
     return ((n_cut + 1) * (n_atoms + 1) + 1) // 2
 
 
+def _banded(layout: _Layout) -> bool:
+    """Whether :func:`_solve_cutoff` solves the block on ``layout`` by banded
+    inverse iteration: it holds more than _BAND_FLOOR states and its
+    half-bandwidth is at most _BAND_LIMIT."""
+    return layout.index.size > _BAND_FLOOR and layout.half_bandwidth <= _BAND_LIMIT
+
+
+def _first_cutoff(params: ModelParams) -> int:
+    """n0 of :func:`ground_full`: :func:`initial_cutoff`, halved until every
+    block at 2 n0 has at most _FIRST_STEP_LIMIT states or n0 is 1."""
+    n_cut = initial_cutoff(params)
+    while n_cut > 1 and _largest_block(params.n_atoms, 2 * n_cut) > _FIRST_STEP_LIMIT:
+        n_cut //= 2
+    return n_cut
+
+
 def _solve_cutoff(params: ModelParams, n_cut: int,
                   starts: dict | None = None) -> dict:
     """Lowest eigenpair of each parity block at fixed cutoff: maps sectors 0
     and 1 to (energy, block vector, layout). Each block is assembled directly
-    and solved densely up to _DENSE_LIMIT states; above, by banded inverse
-    iteration up to a half-bandwidth of _BAND_LIMIT and by ARPACK beyond it.
-    Passed back in as ``starts`` at a larger cutoff, the block vectors start
-    those sparse-sized solves there, since a sector's states at this cutoff
-    are a prefix of its states at any larger one."""
+    in the form its solver takes. A narrow block (:func:`_banded`) goes to
+    banded inverse iteration, whatever its size above _BAND_FLOOR; any other
+    block to dense eigh up to _FIRST_STEP_LIMIT states and to ARPACK above.
+    So up to N_a = 80 every block of more than _BAND_FLOOR states is banded,
+    the first certified step of a large-N solve included, and from N_a = 81
+    blocks take dense eigh or ARPACK by size. Passed back in as ``starts`` at
+    a larger cutoff, the block vectors start the banded and ARPACK solves
+    there, since a sector's states at this cutoff are a prefix of its states
+    at any larger one; without them those solves start from the uniform
+    vector."""
     starts = starts or {}
     solved = {}
     for sector in (0, 1):
         layout = _layout(params.n_atoms, n_cut, sector)
         start = starts[sector][1] if sector in starts else None
-        if layout.index.size <= _DENSE_LIMIT:
-            pair = _lowest_pair(_hamiltonian(params, layout))
-        elif layout.half_bandwidth <= _BAND_LIMIT:
+        if _banded(layout):
             pair = _lowest_banded(_band_storage(params, layout), start)
+        elif layout.index.size <= _FIRST_STEP_LIMIT:
+            pair = _lowest_pair(_hamiltonian(params, layout))
         else:
             pair = _lowest_pair(_hamiltonian(params, layout, sparse=True), start)
         solved[sector] = (*pair, layout)
@@ -429,17 +463,34 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
     ground_full computes for that block at n_cut lies in [E - allowance,
     E + max(beta, 0) + allowance], E its energy at 2 n_cut (README).
 
-    By interlacing and the variational principle, E(2 n_cut) <= E(n_cut) <=
+    By interlacing and the variational principle, E0(2 n_cut) <= E0(n_cut) <=
     <phi|H|phi> / <phi|phi>, phi the photon layers 0..n_cut of the 2 n_cut
-    ground vector v = phi + chi. As (H - E) v = 0, beta = <phi|H - E|phi> /
-    <phi|phi> = -<phi|H|chi> / <phi|phi>, the coupling between layers n_cut
-    and n_cut + 1. The allowance is four times the backward error of dense
-    eigh, dim eps ||H||, divided by <phi|phi>: it covers both eigenvalues, the
-    residual of v and beta's arithmetic. H is block diagonal, so the largest
-    block :func:`_norm_bound` is the whole-basis one, bit for bit: each row
-    sum adds the same entries in the same order."""
+    ground vector v = phi + chi, and <phi|H|phi> / <phi|phi> = E + beta +
+    <phi|s> / <phi|phi> with s = (H - E) v: beta = -<phi|H|chi> / <phi|phi>
+    is the coupling between layers n_cut and n_cut + 1. H is block diagonal,
+    so the largest block :func:`_norm_bound` is the whole-basis one, bit for
+    bit: each row sum adds the same entries in the same order.
+
+    A dense block's allowance is four times the backward error of dense eigh,
+    dim eps ||H||, divided by <phi|phi>: it covers both eigenvalues, the
+    residual s and beta's arithmetic. A banded block (:func:`_banded`) adds
+    6 t / <phi|phi>, t = 1e-12 max(1, ||H||), for the brackets that
+    :func:`_lowest_banded` proves instead. Every Rayleigh quotient lies in
+    [-||H||, ||H||], so each banded solve's tolerance is at most t: E0(2 n_cut)
+    lies in (E - 2t, E] and ||s|| <= t.
+    - From below: E0(n_cut) >= E0(2 n_cut) > E - 2t, and a banded solve at
+      n_cut returns a Rayleigh quotient, at least E0(n_cut).
+    - From above: |<phi|s>| <= ||phi|| t <= t, so E0(n_cut) <= E + beta +
+      t / <phi|phi>, and a banded solve at n_cut returns less than
+      E0(n_cut) + 2t.
+    That is 3t; 3t more cover the backward error of the banded Cholesky
+    factorisation that proves each bracket, gamma_(kd+2) (2 kd + 1)
+    ||H - sigma|| <= 3569 eps (2 ||H|| + 1) < 2.4 t at kd <= _BAND_LIMIT.
+    The dense term still covers the rounding of E, of s and of beta, and a
+    dense solve at n_cut where that block is at most _BAND_FLOOR states."""
     na = params.n_atoms
     norm = max(_norm_bound(params, block[2]) for block in solved.values())
+    bracket = 6e-12 * max(1.0, norm)
     bounds = {}
     for sector, (_, vec, layout) in solved.items():
         phi = vec[:np.searchsorted(layout.k, n_cut, side="right")]
@@ -449,6 +500,8 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
                           * vec[layout.cols[top]])
         beta = -params.lam / math.sqrt(na) * coupling / weight
         rounding = 4 * layout.index.size * np.finfo(float).eps * norm
+        if _banded(layout):
+            rounding += bracket
         bounds[sector] = (float(beta), rounding / weight)
     return bounds
 
@@ -458,9 +511,9 @@ def _certifies(params: ModelParams, n_cut: int, solved: dict, tol: float) -> boo
     ground_full's energy test between n_cut and 2 n_cut passes: the energy
     change is below tol * max(1, |E|), and no energy within the bounds moves
     the parity choice at n_cut off the one at 2 n_cut. Never where a block at
-    2 n_cut is above _DENSE_LIMIT: the allowance is dense eigh's backward
-    error."""
-    if _largest_block(params.n_atoms, 2 * n_cut) > _DENSE_LIMIT:
+    2 n_cut is above _FIRST_STEP_LIMIT: the allowance covers dense eigh and
+    banded inverse iteration, not ARPACK."""
+    if _largest_block(params.n_atoms, 2 * n_cut) > _FIRST_STEP_LIMIT:
         return False
     bounds = _truncation_bounds(params, n_cut, solved)
     low = {s: solved[s][0] - allowance for s, (_, allowance) in bounds.items()}
@@ -502,15 +555,18 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     Doubles the photon cutoff from n0 until the energy change between
     successive cutoffs is below tol * max(1, |E|) and the probability on the
     top two photon layers is below tail_threshold. n0 is
-    :func:`initial_cutoff`, halved until every block at 2 n0 is dense or n0
-    is 1 (for N_a <= 232 the blocks get there). Each doubling starts its
-    banded or ARPACK solves from the previous cutoff's block vectors.
+    :func:`_first_cutoff` (for N_a <= 232 its blocks at 2 n0 hold at most
+    _FIRST_STEP_LIMIT states). Each doubling starts its banded or ARPACK
+    solves from the previous cutoff's block vectors.
 
-    The first step solves 2 n0, and solves n0 only where :func:`_certifies`
-    does not show from the 2 n0 blocks that the energy test between n0 and
-    2 n0 passes; the first comparison is against E(2 n0) itself otherwise.
-    Every result is the one that solving n0 first gives, bit for bit where
-    the blocks at 2 n0 are dense.
+    The first step solves 2 n0 cold, by banded inverse iteration where
+    :func:`_banded` picks it (up to N_a = 80, blocks above _BAND_FLOOR) and
+    by dense eigh otherwise. It solves n0 only where :func:`_certifies` does
+    not show from the 2 n0 blocks that the energy test between n0 and 2 n0
+    passes; the first comparison is against E(2 n0) itself otherwise. Every
+    result is the one that solving n0 first gives, bit for bit where the
+    blocks at 2 n0 are dense. Where they are banded, 2 n0 is solved cold
+    rather than from n0, and the two agree to the banded solver's tolerance.
 
     Raises ConvergenceError past the cutoff cap _N_CUT_MAX.
     ``use_parity_blocks`` accepts only True, for callers that still pass it.
@@ -518,9 +574,7 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     _check_convergence(tol=tol, tail_threshold=tail_threshold)
     _check_kept(use_parity_blocks=use_parity_blocks)
     na = params.n_atoms
-    n_cut = initial_cutoff(params)
-    while n_cut > 1 and _largest_block(na, 2 * n_cut) > _DENSE_LIMIT:
-        n_cut //= 2
+    n_cut = _first_cutoff(params)
     blocks = _solve_cutoff(params, 2 * n_cut)
     first = blocks if _certifies(params, n_cut, blocks, tol) else _solve_cutoff(params, n_cut)
     prev_energy = first[_ground_sector(first)[0]][0]

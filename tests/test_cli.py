@@ -112,9 +112,11 @@ def test_exit_code_follows_the_error_type_inside_a_command(error, code, err,
     ("--solver full --delta 0 --lambda 1e200", "ConvergenceError"),
     ("--solver full --delta 0 --wf 1e-300 --lambda 0.5", "ConvergenceError"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_reach_input_is_a_typed_solver_failure(flags, error, monkeypatch, capsys):
     # finite inputs far outside the omega_f = 1 scale: the RWA scan refuses
-    # its cap before solving a block, the full solve ends at a cutoff
+    # its cap before solving a block, the full solve ends at a cutoff, and
+    # neither warns on the way
     def no_scan(*args):
         raise AssertionError("scanned toward an out-of-reach cap")
 

@@ -211,9 +211,10 @@ class TestGroundFull:
             ground_full(_params(lam=2.0))
 
     @pytest.mark.parametrize("n_cut_start", [2048, 3000, 100_000])
-    def test_first_solved_cutoff_is_dense(self, n_cut_start, monkeypatch):
-        # the first cutoff is halved until twice it is dense, so even a start
-        # past the cap of 4096 reaches a solve, and that solve is dense
+    def test_first_solved_cutoff_fits_the_first_step(self, n_cut_start, monkeypatch):
+        # the first cutoff is halved until every block at twice it has at
+        # most _FIRST_STEP_LIMIT states, so even a start past the cap of 4096
+        # reaches a solve, and that solve is of such blocks
         class Solved(Exception):
             pass
 
@@ -227,7 +228,7 @@ class TestGroundFull:
             ground_full(params)
         n_cut = solved.value.args[0]
         assert n_cut in [2 * (n_cut_start >> k) for k in range(n_cut_start.bit_length())]
-        assert fullmodel._largest_block(params.n_atoms, n_cut) <= fullmodel._DENSE_LIMIT
+        assert fullmodel._largest_block(params.n_atoms, n_cut) <= fullmodel._FIRST_STEP_LIMIT
 
     def test_superradiant_n80_converges_below_the_cap(self):
         # initial_cutoff is 2640 here; doubling from it would pass the cap
@@ -238,13 +239,13 @@ class TestGroundFull:
     def test_sparse_path_matches_dense(self):
         # each parity block, 2 * (n_cut + 1) states, exceeds the dense limit
         params = _params(lam=0.5, n_atoms=3)
-        n_cut = fullmodel._DENSE_LIMIT // 2
+        n_cut = fullmodel._FIRST_STEP_LIMIT // 2
         ham = build_full(params, n_cut)
         signs = parity_diagonal(ham.basis)
         solved = fullmodel._solve_cutoff(params, n_cut)
         for sector, sign in ((0, 1.0), (1, -1.0)):
             idx = np.flatnonzero(signs == sign)
-            assert idx.size > fullmodel._DENSE_LIMIT
+            assert idx.size > fullmodel._FIRST_STEP_LIMIT
             dense_e = scipy.linalg.eigh(ham.matrix[np.ix_(idx, idx)],
                                         subset_by_index=[0, 0], eigvals_only=True)[0]
             assert solved[sector][0] == pytest.approx(dense_e, abs=1e-8)
@@ -304,10 +305,12 @@ class TestBandBuilder:
 
     def test_block_kind_follows_its_shape(self, monkeypatch):
         # the block's own shape picks the solver: at N_a = 3 each parity
-        # block holds 2 (n_cut + 1) states, at most _DENSE_LIMIT at this n_cut
-        # and more at the next, where its half-bandwidth of 3 makes it banded.
-        # The half-bandwidth is _BAND_LIMIT at N_a = 2 _BAND_LIMIT - 2 and one
-        # more at N_a = 2 _BAND_LIMIT, where a sparse-sized block is CSR
+        # block holds 2 (n_cut + 1) states, _BAND_FLOOR at this n_cut and
+        # more at the next, where its half-bandwidth of 3 makes it banded.
+        # The half-bandwidth is _BAND_LIMIT at N_a = 2 _BAND_LIMIT - 2, where
+        # every block above the floor is banded, and one more at
+        # N_a = 2 _BAND_LIMIT, where a block is dense up to _FIRST_STEP_LIMIT
+        # states and CSR above
         calls = []
 
         def record(kind):
@@ -318,21 +321,27 @@ class TestBandBuilder:
             "csr" if scipy.sparse.issparse(m) else "dense")(m, start))
         monkeypatch.setattr(fullmodel, "_lowest_banded", record("band"))
         params = _params(lam=0.5, n_atoms=3)
-        n_cut = fullmodel._DENSE_LIMIT // 2 - 1
+        n_cut = fullmodel._BAND_FLOOR // 2 - 1
         half = 2 * (n_cut + 1)
-        assert half <= fullmodel._DENSE_LIMIT < half + 2
+        assert half == fullmodel._BAND_FLOOR
         fullmodel._solve_cutoff(params, n_cut)
         assert calls == [("dense", (half, half))] * 2
         calls.clear()
         fullmodel._solve_cutoff(params, n_cut + 1)
         assert calls == [("band", (4, half + 2))] * 2
-        for n_atoms, kind in ((2 * fullmodel._BAND_LIMIT - 2, "band"),
-                              (2 * fullmodel._BAND_LIMIT, "csr")):
-            calls.clear()
-            fullmodel._solve_cutoff(_params(lam=0.5, n_atoms=n_atoms), 12)
-            layouts = [fullmodel._layout(n_atoms, 12, s) for s in (0, 1)]
-            assert all(layout.index.size > fullmodel._DENSE_LIMIT for layout in layouts)
-            assert [k for k, _ in calls] == [kind] * 2
+        # cutoffs 1, 6 and 12 give blocks of at most _BAND_FLOOR states, of up
+        # to _FIRST_STEP_LIMIT and of more
+        sizes = {1: (0, fullmodel._BAND_FLOOR),
+                 6: (fullmodel._BAND_FLOOR, fullmodel._FIRST_STEP_LIMIT),
+                 12: (fullmodel._FIRST_STEP_LIMIT, math.inf)}
+        for n_atoms, kinds in ((2 * fullmodel._BAND_LIMIT - 2, ("dense", "band", "band")),
+                               (2 * fullmodel._BAND_LIMIT, ("dense", "dense", "csr"))):
+            for (n_cut, (low, high)), kind in zip(sizes.items(), kinds):
+                calls.clear()
+                fullmodel._solve_cutoff(_params(lam=0.5, n_atoms=n_atoms), n_cut)
+                assert all(low < fullmodel._layout(n_atoms, n_cut, s).index.size <= high
+                           for s in (0, 1))
+                assert [k for k, _ in calls] == [kind] * 2
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 20, 79, 80, 81])
     def test_band_storage_holds_the_dense_block(self, n_atoms):
@@ -395,6 +404,45 @@ def _arpack_spy(monkeypatch):
     return calls
 
 
+def _solver_spy(monkeypatch):
+    """Record (solver, states) of every block solve: "dense", "csr" or
+    "band"."""
+    calls = []
+    pair, banded = fullmodel._lowest_pair, fullmodel._lowest_banded
+
+    def pair_spy(matrix, start=None):
+        calls.append(("csr" if scipy.sparse.issparse(matrix) else "dense", matrix.shape[0]))
+        return pair(matrix, start)
+
+    def band_spy(lower, start=None):
+        calls.append(("band", lower.shape[1]))
+        return banded(lower, start)
+
+    monkeypatch.setattr(fullmodel, "_lowest_pair", pair_spy)
+    monkeypatch.setattr(fullmodel, "_lowest_banded", band_spy)
+    return calls
+
+
+def _parent_solve_cutoff(params, n_cut, starts=None):
+    """_solve_cutoff as it routed blocks while the first step was dense:
+    dense eigh up to _FIRST_STEP_LIMIT states, above it banded inverse
+    iteration up to half-bandwidth _BAND_LIMIT and ARPACK beyond."""
+    starts = starts or {}
+    solved = {}
+    for sector in (0, 1):
+        layout = fullmodel._layout(params.n_atoms, n_cut, sector)
+        start = starts[sector][1] if sector in starts else None
+        if layout.index.size <= fullmodel._FIRST_STEP_LIMIT:
+            pair = fullmodel._lowest_pair(fullmodel._hamiltonian(params, layout))
+        elif layout.half_bandwidth <= fullmodel._BAND_LIMIT:
+            pair = fullmodel._lowest_banded(fullmodel._band_storage(params, layout), start)
+        else:
+            pair = fullmodel._lowest_pair(
+                fullmodel._hamiltonian(params, layout, sparse=True), start)
+        solved[sector] = (*pair, layout)
+    return solved
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("sector", [0, 1, None])
     def test_layout_is_a_prefix_of_every_larger_cutoff(self, sector):
@@ -427,7 +475,7 @@ class TestWarmStart:
     def test_ground_full_matches_cold_dense_solves(self, n_atoms, lam, monkeypatch):
         # the reference solves every block of up to 3000 states densely and
         # starts ARPACK cold above that, where a dense matrix would need GBs,
-        # banded blocks included; _DENSE_LIMIT stays, so both solve the same
+        # banded blocks included; _FIRST_STEP_LIMIT stays, so both solve the same
         # cutoffs
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         warm = ground_full(params)
@@ -455,20 +503,22 @@ class TestWarmStart:
         assert abs(cw_of_ground(warm.state) - cw_of_ground(cold.state)) <= cw_atol
 
     def test_each_doubling_starts_from_the_previous_block_vector(self, monkeypatch):
-        # the dense step solves cutoffs 12 and 6; banded solves run from 24
-        # on, on parity blocks of 513 states and more
+        # the first step solves cutoffs 12 and 6 cold, on banded parity
+        # blocks of 267 and 144 states; the doublings from 24 on, on blocks
+        # of 513 states and more, each start from the cutoff before
         params = _params(lam=0.45, eta=0.7, n_atoms=40)
         cutoffs = _cutoff_spy(monkeypatch)
         calls = _banded_spy(monkeypatch)
         arpack = _arpack_spy(monkeypatch)
         ground_full(params)
-        assert cutoffs[:3] == [12, 6, 24] and len(calls) >= 4 and not arpack
-        # the first banded cutoff continues the dense blocks of the one before
-        dense = fullmodel._solve_cutoff(params, 12)
-        recorded = list(calls)
-        starts = [dense[0][1], dense[1][1]] + [vec for _, _, _, vec in recorded]
+        assert cutoffs[:3] == [12, 6, 24] and len(calls) >= 8 and not arpack
+        first, doublings = calls[:4], calls[4:]
+        assert [lower.shape[1] for lower, _, _, _ in first] == [267, 266, 144, 143]
+        assert all(start is None for _, start, _, _ in first)
+        # the first doubling continues the blocks of cutoff 12
+        starts = [first[0][3], first[1][3]] + [vec for _, _, _, vec in doublings]
         # two sectors per cutoff: call i continues the vector two before it
-        for prev, (lower, start, energy, vec) in zip(starts, recorded):
+        for prev, (lower, start, energy, vec) in zip(starts, doublings):
             assert np.array_equal(start, prev)
             v0 = fullmodel._start_vector(start, lower.shape[1])
             assert np.array_equal(v0[:prev.size], prev)
@@ -498,14 +548,21 @@ class TestWarmStart:
     @pytest.mark.parametrize("n_atoms", [60, _ARPACK_N])
     def test_exact_eigenvector_start_at_zero_coupling(self, n_atoms, monkeypatch):
         # at lam = 0 the ground vector of each sector is exact at every
-        # cutoff: the dense step certifies n0 from 2 n0 and stops there, and
+        # cutoff: the first step certifies n0 from 2 n0 and stops there, and
         # a doubling between two sparse-sized cutoffs starts on an exact
-        # eigenvector, which a banded solve returns after one factorisation
+        # eigenvector, which a banded solve returns after one factorisation.
+        # The first step's blocks (214 and 332 states) are banded and cold at
+        # N_a = 60 and dense at N_a = 82
         params = _params(lam=0.0, n_atoms=n_atoms)
         banded, arpack = _banded_spy(monkeypatch), _arpack_spy(monkeypatch)
         cutoffs = _cutoff_spy(monkeypatch)
         result = ground_full(params)
-        assert not banded and not arpack
+        assert not arpack
+        if n_atoms <= _BANDED_N:
+            assert [start for _, start, _, _ in banded] == [None, None]
+        else:
+            assert not banded
+        banded.clear()
         assert result.energy == pytest.approx(-n_atoms / 2, abs=1e-12)
         assert len(cutoffs) == 1
         assert (result.n_cut_used, result.parity) == (cutoffs[0], 1)
@@ -526,9 +583,11 @@ class TestWarmStart:
                 assert np.linalg.norm(block @ v0 - energy * v0) < 1e-12
 
     def test_n5_sweep_domain_builds_no_sparse_block(self, monkeypatch):
-        # full-sweep and acceptance 8 solve N_a = 5 at lam <= 0.6; every block
-        # there has at most 123 states and stays on the dense path, which
-        # keeps the sweep CSVs bit-identical
+        # full-sweep and acceptance 8 solve N_a = 5 at lam <= 0.6, on the
+        # acceptance-8 lam axis here: every block there (first step,
+        # certificate and doublings) has at most 123 states, below
+        # _BAND_FLOOR, and reaches dense eigh, which keeps the sweep CSVs
+        # bit-identical
         built = []
         build = fullmodel._hamiltonian
 
@@ -537,12 +596,29 @@ class TestWarmStart:
             return build(params, layout, sparse, **kwargs)
 
         monkeypatch.setattr(fullmodel, "_hamiltonian", spy)
-        banded = _banded_spy(monkeypatch)
-        for lam in np.linspace(0.006, 0.6, 12):
+        solved = _solver_spy(monkeypatch)
+        for lam in np.linspace(0.006, 0.6, 100):
             for eta in (0.8, 1.2, 1.6):
                 ground_full(_params(lam=lam, eta=eta, n_atoms=5))
-        assert not any(sparse for sparse, _ in built) and not banded
-        assert max(dim for _, dim in built) <= 123
+        assert not any(sparse for sparse, _ in built)
+        assert [kind for kind, _ in solved] == ["dense"] * len(built)
+        assert max(dim for _, dim in built) == 123 <= fullmodel._BAND_FLOOR
+
+    @pytest.mark.parametrize("n_atoms", [100, 160])
+    def test_wide_blocks_keep_the_parent_route_bit_for_bit(self, n_atoms, monkeypatch):
+        # above _BAND_LIMIT every block takes the solver it took while the
+        # first step was dense, dense eigh up to _FIRST_STEP_LIMIT states and
+        # ARPACK above, and gives the same bits
+        params = _params(lam=0.45, eta=0.7, n_atoms=n_atoms)
+        routes, outcomes = [], []
+        for router in (fullmodel._solve_cutoff, _parent_solve_cutoff):
+            with monkeypatch.context() as patch:
+                patch.setattr(fullmodel, "_solve_cutoff", router)
+                routes.append(_solver_spy(patch))
+                outcomes.append(_outcome(params))
+        assert routes[0] == routes[1]
+        assert {kind for kind, _ in routes[0]} == {"dense", "csr"}
+        assert outcomes[0] == outcomes[1]
 
     def test_arpack_failure_is_a_convergence_error(self, failing_arpack):
         layout = fullmodel._layout(20, 40, 0)
@@ -618,6 +694,23 @@ class TestBandedSolve:
         with pytest.raises(ConvergenceError, match=f"{lower.shape[1]}-state block"):
             fullmodel._lowest_banded(lower, start)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_band_is_a_convergence_error(self):
+        # at lam = 1e200 ||H|| squared overflows a float, as would the
+        # residual norms: the solve refuses before the first of them
+        params = _params(lam=1e200, n_atoms=2)
+        lower = fullmodel._band_storage(params, fullmodel._layout(2, 128, 0))
+        assert np.isfinite(lower).all()
+        with pytest.raises(ConvergenceError, match="194-state block.*overflows"):
+            fullmodel._lowest_banded(lower)
+        with pytest.raises(ConvergenceError, match="overflows"):
+            ground_full(params)
+        for bad in (np.inf, np.nan):
+            lower = _warm_band(20, 0.8)[0]
+            lower[1, 7] = bad
+            with pytest.raises(ConvergenceError, match="overflows"):
+                fullmodel._lowest_banded(lower)
+
     def test_factorisations_that_never_succeed_stop_at_the_cap(self, monkeypatch):
         # a failure at every shift, the Gershgorin floor included, bisects an
         # empty bracket; the cap still ends the solve
@@ -631,31 +724,24 @@ class TestBandedSolve:
 
 def _parent_ground_full(params, tol=1e-8, tail_threshold=1e-10):
     """The doubling loop that solves every cutoff from initial_cutoff on,
-    as ground_full ran before it certified the first cutoff: (result tuple,
-    cutoffs solved), or the ConvergenceError it raises."""
+    each from the block vectors of the one before, as ground_full ran before
+    it certified the first cutoff: (result tuple, cutoffs solved), or the
+    ConvergenceError it raises. Each cutoff is solved by _solve_cutoff, so
+    only the first step differs from ground_full's: that solves 2 n0 cold,
+    this loop from the blocks of n0."""
     n_cut = initial_cutoff(params)
     if 2 * n_cut > fullmodel._N_CUT_MAX:
         return ConvergenceError, []
     na = params.n_atoms
-    prev_energy, blocks, solved = None, {}, []
+    prev_energy, blocks, solved = None, None, []
     while n_cut <= fullmodel._N_CUT_MAX:
         solved.append(n_cut)
-        results, vectors = {}, {}
-        for sector in (0, 1):
-            layout = fullmodel._layout(na, n_cut, sector)
-            if layout.index.size > fullmodel._DENSE_LIMIT:
-                energy, vectors[sector] = fullmodel._lowest_pair(
-                    fullmodel._hamiltonian(params, layout, sparse=True),
-                    blocks.get(sector))
-            else:
-                with fullmodel._one_blas_thread():
-                    vals, vecs = scipy.linalg.eigh(fullmodel._hamiltonian(params, layout),
-                                                   subset_by_index=[0, 0])
-                energy, vectors[sector] = float(vals[0]), vecs[:, 0]
+        blocks = fullmodel._solve_cutoff(params, n_cut, starts=blocks)
+        results = {}
+        for sector, (energy, block_vec, layout) in blocks.items():
             vec = np.zeros((n_cut + 1) * (na + 1))
-            vec[layout.index] = vectors[sector]
+            vec[layout.index] = block_vec
             results[sector] = (energy, vec)
-        blocks = vectors
         (even, even_vec), (odd, odd_vec) = results[0], results[1]
         gap = abs(even - odd)
         if even <= odd + 1e-10 * max(1.0, abs(even)):
@@ -718,16 +804,35 @@ def _cutoff_spy(monkeypatch):
 
 
 # weak, near-critical and superradiant couplings at both signs of eta and
-# delta; at N_a <= 8 the first doubled cutoff is dense up to lam 0.6 and goes
-# to ARPACK above it
+# delta; at N_a <= 8 twice initial_cutoff has blocks of at most
+# _FIRST_STEP_LIMIT states up to lam 0.6, banded ones above _BAND_FLOOR
 _CERTIFY_LAMS = (0.0, 0.05, 0.3, 0.6, 0.9, 1.2)
 _CERTIFY_SHAPES = ((0.7, 0.3), (-0.8, -0.4))
 
 
-def _dense_first(params):
-    """Whether both blocks at twice initial_cutoff are dense."""
+def _unhalved(params):
+    """Whether both blocks at twice initial_cutoff have at most
+    _FIRST_STEP_LIMIT states, so that initial_cutoff is the first cutoff."""
     n0 = initial_cutoff(params)
-    return fullmodel._largest_block(params.n_atoms, 2 * n0) <= fullmodel._DENSE_LIMIT
+    return fullmodel._largest_block(params.n_atoms, 2 * n0) <= fullmodel._FIRST_STEP_LIMIT
+
+
+def _banded_first(params):
+    """Whether a block at twice the first cutoff is banded."""
+    n_cut = 2 * fullmodel._first_cutoff(params)
+    return any(fullmodel._banded(fullmodel._layout(params.n_atoms, n_cut, s))
+               for s in (0, 1))
+
+
+def _assert_matches_parent(params, expected, **kwargs):
+    """ground_full(params, **kwargs) against the parent loop's ``expected``:
+    bit for bit where the blocks at twice the first cutoff are dense, and to
+    _assert_agrees where one is banded, since ground_full solves that cutoff
+    cold and the parent loop from the blocks of the first."""
+    if _banded_first(params):
+        _assert_agrees(ground_full(params, **kwargs), expected)
+    else:
+        assert _outcome(params, **kwargs) == expected
 
 
 def _certify_grid(n_atoms):
@@ -735,48 +840,55 @@ def _certify_grid(n_atoms):
         yield _params(lam=lam, eta=eta, delta=delta, n_atoms=n_atoms)
 
 
-def _dense_first_points():
-    """The params of the certify grid whose blocks at twice the first cutoff
-    are both dense."""
+def _unhalved_points():
+    """The params of the certify grid whose first cutoff is initial_cutoff."""
     for n_atoms in range(1, 9):
-        yield from filter(_dense_first, _certify_grid(n_atoms))
+        yield from filter(_unhalved, _certify_grid(n_atoms))
 
 
-# the points where twice initial_cutoff is sparse, so ground_full halves its
-# first cutoff: the full-solve-large-n strata, a point on each side of
-# _BAND_LIMIT, two superradiant N_a = 40 points and the sparse points of the
-# certify grid
+# the points where twice initial_cutoff has a block above _FIRST_STEP_LIMIT,
+# so ground_full halves its first cutoff: the full-solve-large-n strata, a
+# point on each side of _BAND_LIMIT, two superradiant N_a = 40 points and the
+# halved points of the certify grid
 _SPARSE_FIRST = ([_params(lam=lam, eta=0.7, n_atoms=n_atoms)
                   for n_atoms, lam in _LARGE_GRID + _ACROSS_BAND_LIMIT]
                  + [_params(lam=lam, n_atoms=40) for lam in (1.0, 2.0)]
                  + [params for n_atoms in range(5, 9) for params in _certify_grid(n_atoms)
-                    if not _dense_first(params)])
+                    if not _unhalved(params)])
 
 
 class TestCertifiedFirstCutoff:
     @pytest.mark.parametrize("n_atoms", range(1, 9))
     def test_matches_the_parent_loop_bit_for_bit(self, n_atoms):
-        # wherever twice initial_cutoff is dense; the other points, at
-        # lam 0.9 and 1.2, are held to test_sparse_regime_agrees_with_the_parent_loop
+        # wherever twice initial_cutoff has dense blocks, and to
+        # _assert_agrees where they are banded; the halved points, at lam 0.9
+        # and 1.2, are held to test_sparse_regime_agrees_with_the_parent_loop
         for params in _certify_grid(n_atoms):
-            if not _dense_first(params):
+            if not _unhalved(params):
                 assert n_atoms >= 5 and params.lam in (0.9, 1.2)
                 continue
             for tol in (1e-8, 1e-10, 1e-13):
                 expected, _ = _parent_ground_full(params, tol=tol)
-                assert _outcome(params, tol=tol) == expected
+                _assert_matches_parent(params, expected, tol=tol)
 
     @pytest.mark.parametrize("params", _SPARSE_FIRST, ids=lambda p: f"{p.n_atoms}-{p.lam}-{p.eta}")
     def test_sparse_regime_agrees_with_the_parent_loop(self, params, monkeypatch):
-        expected, _ = _parent_ground_full(params)
+        # the parent loop runs ARPACK where ground_full runs banded solves:
+        # its large cold n0 blocks would otherwise come out of banded solves
+        # whose vectors are only as close as their residual allows (1e-12)
+        with monkeypatch.context() as patch:
+            patch.setattr(fullmodel, "_lowest_banded", lambda lower, start=None:
+                          fullmodel._lowest_pair(_band_csr(lower), start))
+            expected, _ = _parent_ground_full(params)
         cutoffs = _cutoff_spy(monkeypatch)
         result = ground_full(params)
-        assert fullmodel._largest_block(params.n_atoms, cutoffs[0]) <= fullmodel._DENSE_LIMIT
+        assert fullmodel._largest_block(params.n_atoms, cutoffs[0]) <= fullmodel._FIRST_STEP_LIMIT
         _assert_agrees(result, expected, same_cutoff=False)
 
-    def test_bound_holds_at_every_dense_point(self):
-        points = list(_dense_first_points())
+    def test_bound_holds_at_every_unhalved_point(self):
+        points = list(_unhalved_points())
         assert len(points) > 80
+        banded = 0
         for params in points:
             n0 = initial_cutoff(params)
             big = fullmodel._solve_cutoff(params, 2 * n0)
@@ -786,7 +898,43 @@ class TestCertifiedFirstCutoff:
             for sector, (beta, allowance) in bounds.items():
                 change = small[sector][0] - big[sector][0]
                 assert -allowance <= change <= max(beta, 0.0) + allowance
-                assert allowance < 1e-10
+                # dense eigh's rounding; the banded brackets add 6e-12 ||H||
+                is_banded = fullmodel._banded(big[sector][2])
+                assert allowance < (1e-9 if is_banded else 1e-10)
+                banded += is_banded
+        assert banded >= 20
+
+    @pytest.mark.parametrize("eta", [0.7, -0.8])
+    def test_certificate_is_sound_on_banded_first_steps(self, eta):
+        # wherever the banded blocks at 2 n0 certify n0, solving n0 passes
+        # the energy test and keeps the parity, and every energy change lies
+        # inside its bound, also with either solve at the far end of its
+        # bracket: a banded energy may lie up to 2e-12 max(1, |E|) above E0
+        certified = 0
+        for n_atoms, lam in itertools.product((6, 8, 10, 14, 20, 28, 40),
+                                              (0.1, 0.3, 0.5, 0.7, 0.9, 1.2)):
+            params = _params(lam=lam, eta=eta, n_atoms=n_atoms)
+            if not _banded_first(params):
+                continue
+            n0 = fullmodel._first_cutoff(params)
+            big = fullmodel._solve_cutoff(params, 2 * n0)
+            small = fullmodel._solve_cutoff(params, n0)
+            for sector, (beta, allowance) in fullmodel._truncation_bounds(
+                    params, n0, big).items():
+                change = small[sector][0] - big[sector][0]
+                up, down = (2e-12 * max(1.0, abs(solved[sector][0])) for solved in (small, big))
+                assert -allowance <= change - down
+                assert change + up <= max(beta, 0.0) + allowance
+            for tol in (1e-8, 1e-10):
+                if not fullmodel._certifies(params, n0, big, tol):
+                    continue
+                certified += 1
+                (_, parity, _), (sector, big_parity, _) = (
+                    fullmodel._ground_sector(small), fullmodel._ground_sector(big))
+                assert parity == big_parity
+                energy = big[sector][0]
+                assert abs(small[sector][0] - energy) < tol * max(1.0, abs(energy))
+        assert certified >= 20
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 8, 13])
     def test_block_norm_bounds_are_the_whole_basis_bound(self, n_atoms):
@@ -852,7 +1000,7 @@ class TestCertifiedFirstCutoff:
                                                        tail_threshold=threshold)
         assert parent_cutoffs[:3] == [n0, 2 * n0, 4 * n0]
         cutoffs = _cutoff_spy(monkeypatch)
-        assert _outcome(params, tail_threshold=threshold) == expected
+        _assert_matches_parent(params, expected, tail_threshold=threshold)
         assert cutoffs == parent_cutoffs[1:]
 
     @pytest.mark.parametrize("n_atoms,lam", [(2, 0.3), (5, 0.6), (7, 0.45)])
@@ -879,11 +1027,11 @@ class TestCertifiedFirstCutoff:
         # is dense; that doubled cutoff is solved first, as on the dense path
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         n0 = initial_cutoff(params)
-        assert fullmodel._largest_block(n_atoms, 2 * n0) > fullmodel._DENSE_LIMIT
+        assert fullmodel._largest_block(n_atoms, 2 * n0) > fullmodel._FIRST_STEP_LIMIT
         cutoffs = _cutoff_spy(monkeypatch)
         assert ground_full(params).n_cut_used == solved[-1]
         assert cutoffs == solved
-        assert fullmodel._largest_block(n_atoms, cutoffs[0]) <= fullmodel._DENSE_LIMIT
+        assert fullmodel._largest_block(n_atoms, cutoffs[0]) <= fullmodel._FIRST_STEP_LIMIT
 
     def test_dense_with_parity_blocks_only(self, monkeypatch):
         # N_a = 8, lam = 0.6: twice the first cutoff has 585 states, parity
@@ -912,7 +1060,7 @@ class TestCertifiedFirstCutoff:
                                                 (400, -200.00506371463203)])
     def test_no_dense_doubled_cutoff_solves_two_then_one(self, n_atoms, energy,
                                                          monkeypatch):
-        # from N_a = 233 on, cutoff 2 has a block above _DENSE_LIMIT, so n0
+        # from N_a = 233 on, cutoff 2 has a block above _FIRST_STEP_LIMIT, so n0
         # halves to 1 and the certificate refuses; the energy is the one of
         # the loop that solved 1 and then 2 warm, to 1e-12 relative
         params = _params(lam=0.1, n_atoms=n_atoms)

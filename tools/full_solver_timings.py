@@ -4,10 +4,12 @@
     PYTHONPATH=src python3 tools/full_solver_timings.py large-n
 
 ``crossover`` times the lowest eigenpair of one parity block (sector 0,
-eta = 0.7) four ways, as the median of 9 calls in ms: dense ``eigh``, ARPACK
+eta = 0.7) five ways, as the median of 9 calls in ms: dense ``eigh``, ARPACK
 from the uniform vector (cold), ARPACK from the zero-padded ground vector of
-cutoff n_cut // 2 (warm), and banded inverse iteration from that same vector
-(band), for blocks of about 120 to 4000 states at N_a = 5..120. Each call goes
+cutoff n_cut // 2 (warm), and banded inverse iteration from the uniform
+vector (bcold, as on the first step of ``ground_full``) and from the warm
+vector (bwarm), for blocks of about 33 to 4000 states at N_a = 5..120 (n_cut
+is at least 2, so small blocks exist only at small N_a). Each call goes
 through ``fullmodel._lowest_pair`` or ``fullmodel._lowest_banded``, so dense
 ``eigh`` runs on one BLAS thread and ARPACK and the banded solve on the
 caller's, as in the solver; kd is the block's half-bandwidth, and dense is
@@ -35,9 +37,9 @@ def _median_ms(call, repeats=9):
 
 
 def crossover():
-    print("N_a   lam  n_cut  states  kd   dense    cold    warm    band")
+    print("N_a   lam  n_cut  states  kd   dense    cold    warm   bcold   bwarm")
     for n_atoms in (5, 10, 20, 40, 48, 60, 80, 120):
-        for states in (120, 200, 300, 350, 400, 500, 700, 1000, 2000, 4000):
+        for states in (33, 66, 99, 120, 200, 300, 350, 400, 500, 700, 1000, 2000, 4000):
             n_cut = max(2, round(2 * states / (n_atoms + 1)) - 1)
             for lam in (0.3, 0.8):
                 params = ModelParams(omega_f=1.0, delta=0.0, eta=0.7, lam=lam,
@@ -53,6 +55,7 @@ def crossover():
                          else _median_ms(lambda: fullmodel._lowest_pair(dense)),
                          _median_ms(lambda: fullmodel._lowest_pair(csr)),
                          _median_ms(lambda: fullmodel._lowest_pair(csr, warm)),
+                         _median_ms(lambda: fullmodel._lowest_banded(band)),
                          _median_ms(lambda: fullmodel._lowest_banded(band, warm)))
                 print(f"{n_atoms:>3} {lam:>5} {n_cut:>6} {dim:>7} {layout.half_bandwidth:>3}"
                       + "".join(f"{t:>8.2f}" for t in times), flush=True)
