@@ -33,20 +33,19 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConvergenceError, InputError
-from .model import (DickeBasis, ModelParams, ProductBasis, PureState, fix_sign,
-                    jp_matrix)
+from .model import (_TIE_TOL, DickeBasis, ModelParams, ProductBasis, PureState,
+                    fix_sign, jp_matrix)
 
 # the largest parity block of the first certified step: ground_full halves its
 # first cutoff n0 until every block at 2 n0 has at most this many states, and
-# _certifies refuses a step above it. A block that is not banded is solved by
-# dense eigh up to this size and by ARPACK above
+# _certifies refuses a step above it. _solve_cutoff, which picks each block's
+# solver, sends no larger block to dense eigh
 _FIRST_STEP_LIMIT = 350
-# a block whose half-bandwidth is at most this, and which holds more than
-# _BAND_FLOOR states, is solved by banded inverse iteration; the choice is made
-# per parity block, from its own shape. In photon-major order the
-# half-bandwidth is N_a // 2 + 1, or one more at odd N_a (21 at
-# N_a = 40, 41 at N_a = 80, 61 at N_a = 120). Banded whole solves win up to
-# half-bandwidth 41, are mixed at 51 and 61 and lose 1.5-2x at 81 (README)
+# the widest half-bandwidth _solve_cutoff sends to banded inverse iteration.
+# In photon-major order the half-bandwidth is N_a // 2 + 1, or one more at odd
+# N_a (21 at N_a = 40, 41 at N_a = 80, 61 at N_a = 120). Banded whole solves
+# win up to half-bandwidth 41, are mixed at 51 and 61 and lose 1.5-2x at 81
+# (README)
 _BAND_LIMIT = 41
 # narrow blocks of at most this many states stay on dense eigh. The floor is
 # not a speed crossover (a cold banded solve is already faster at 99 states,
@@ -166,18 +165,10 @@ def _bands(params: ModelParams, layout: _Layout, counter_rotating: bool = True):
     return diag, coupling, layout.rows[:end], layout.cols[:end]
 
 
-def _hamiltonian(params: ModelParams, layout: _Layout, sparse: bool = False,
-                 counter_rotating: bool = True):
-    """H on the states of ``layout``, dense or CSR, written from its bands."""
+def _hamiltonian(params: ModelParams, layout: _Layout, counter_rotating: bool = True):
+    """H on the states of ``layout`` as a dense matrix, written from its bands."""
     diag, coupling, rows, cols = _bands(params, layout, counter_rotating)
-    dim = diag.size
-    if sparse:
-        at = np.arange(dim)
-        return scipy.sparse.csr_matrix(
-            (np.concatenate([diag, coupling, coupling]),
-             (np.concatenate([at, rows, cols]), np.concatenate([at, cols, rows]))),
-            shape=(dim, dim))
-    h = np.zeros((dim, dim))
+    h = np.zeros((diag.size, diag.size))
     np.fill_diagonal(h, diag)
     h[rows, cols] = coupling
     h[cols, rows] = coupling
@@ -192,6 +183,16 @@ def _band_storage(params: ModelParams, layout: _Layout) -> np.ndarray:
     lower[0] = diag
     lower[cols - rows, rows] = coupling
     return lower
+
+
+def _csr(params: ModelParams, layout: _Layout) -> scipy.sparse.csr_matrix:
+    """H on the states of ``layout`` as a CSR matrix, written from its bands."""
+    diag, coupling, rows, cols = _bands(params, layout)
+    at = np.arange(diag.size)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([diag, coupling, coupling]),
+         (np.concatenate([at, rows, cols]), np.concatenate([at, cols, rows]))),
+        shape=(diag.size, diag.size))
 
 
 def _norm_bound(params: ModelParams, layout: _Layout) -> float:
@@ -316,15 +317,17 @@ def _start_vector(start: np.ndarray | None, dim: int) -> np.ndarray:
     return v0
 
 
-def _lowest_pair(matrix, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a dense block by eigh on one BLAS thread, of a CSR
-    block by ARPACK on the caller's BLAS threads. ARPACK starts from
-    :func:`_start_vector`. :func:`_solve_cutoff` passes it the blocks that
-    :func:`_banded` does not take, dense up to _FIRST_STEP_LIMIT states."""
-    if not scipy.sparse.issparse(matrix):
-        with _one_blas_thread():
-            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-        return float(vals[0]), vecs[:, 0]
+def _lowest_dense(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a dense block by eigh on one BLAS thread."""
+    with _one_blas_thread():
+        vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+    return float(vals[0]), vecs[:, 0]
+
+
+def _lowest_arpack(matrix: scipy.sparse.csr_matrix, start: np.ndarray | None
+                   ) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a CSR block by ARPACK from :func:`_start_vector`,
+    on the caller's BLAS threads."""
     dim = matrix.shape[0]
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA",
@@ -400,13 +403,6 @@ def _largest_block(n_atoms: int, n_cut: int) -> int:
     return ((n_cut + 1) * (n_atoms + 1) + 1) // 2
 
 
-def _banded(layout: _Layout) -> bool:
-    """Whether :func:`_solve_cutoff` solves the block on ``layout`` by banded
-    inverse iteration: it holds more than _BAND_FLOOR states and its
-    half-bandwidth is at most _BAND_LIMIT."""
-    return layout.index.size > _BAND_FLOOR and layout.half_bandwidth <= _BAND_LIMIT
-
-
 def _first_cutoff(params: ModelParams) -> int:
     """n0 of :func:`ground_full`: :func:`initial_cutoff`, halved until every
     block at 2 n0 has at most _FIRST_STEP_LIMIT states or n0 is 1."""
@@ -419,13 +415,12 @@ def _first_cutoff(params: ModelParams) -> int:
 def _solve_cutoff(params: ModelParams, n_cut: int,
                   starts: dict | None = None) -> dict:
     """Lowest eigenpair of each parity block at fixed cutoff: maps sectors 0
-    and 1 to (energy, block vector, layout). Each block is assembled directly
-    in the form its solver takes. A narrow block (:func:`_banded`) goes to
-    banded inverse iteration, whatever its size above _BAND_FLOOR; any other
-    block to dense eigh up to _FIRST_STEP_LIMIT states and to ARPACK above.
-    So up to N_a = 80 every block of more than _BAND_FLOOR states is banded,
-    the first certified step of a large-N solve included, and from N_a = 81
-    blocks take dense eigh or ARPACK by size. Passed back in as ``starts`` at
+    and 1 to (energy, block vector, layout). The one place that picks a
+    block's solver, from its own shape, and assembles the block in the form
+    that solver takes: a block of more than _BAND_FLOOR states with
+    half-bandwidth at most _BAND_LIMIT goes to banded inverse iteration, any
+    other to dense eigh up to _FIRST_STEP_LIMIT states and to ARPACK above
+    (up to N_a = 80 no block is ARPACK's). Passed back in as ``starts`` at
     a larger cutoff, the block vectors start the banded and ARPACK solves
     there, since a sector's states at this cutoff are a prefix of its states
     at any larger one; without them those solves start from the uniform
@@ -435,12 +430,12 @@ def _solve_cutoff(params: ModelParams, n_cut: int,
     for sector in (0, 1):
         layout = _layout(params.n_atoms, n_cut, sector)
         start = starts[sector][1] if sector in starts else None
-        if _banded(layout):
+        if layout.index.size > _BAND_FLOOR and layout.half_bandwidth <= _BAND_LIMIT:
             pair = _lowest_banded(_band_storage(params, layout), start)
         elif layout.index.size <= _FIRST_STEP_LIMIT:
-            pair = _lowest_pair(_hamiltonian(params, layout))
+            pair = _lowest_dense(_hamiltonian(params, layout))
         else:
-            pair = _lowest_pair(_hamiltonian(params, layout, sparse=True), start)
+            pair = _lowest_arpack(_csr(params, layout), start)
         solved[sector] = (*pair, layout)
     return solved
 
@@ -448,7 +443,7 @@ def _solve_cutoff(params: ModelParams, n_cut: int,
 def _even_wins(even: float, odd: float) -> bool:
     """Degenerate doublets resolve to the even-parity member. True on a box
     of (even, odd) values if true at its corner (largest even, smallest odd)."""
-    return even <= odd + 1e-10 * max(1.0, abs(even))
+    return even <= odd + _TIE_TOL * max(1.0, abs(even))
 
 
 def _ground_sector(solved: dict) -> tuple[int, int, float]:
@@ -471,13 +466,16 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
     so the largest block :func:`_norm_bound` is the whole-basis one, bit for
     bit: each row sum adds the same entries in the same order.
 
-    A dense block's allowance is four times the backward error of dense eigh,
-    dim eps ||H||, divided by <phi|phi>: it covers both eigenvalues, the
-    residual s and beta's arithmetic. A banded block (:func:`_banded`) adds
-    6 t / <phi|phi>, t = 1e-12 max(1, ||H||), for the brackets that
-    :func:`_lowest_banded` proves instead. Every Rayleigh quotient lies in
-    [-||H||, ||H||], so each banded solve's tolerance is at most t: E0(2 n_cut)
-    lies in (E - 2t, E] and ||s|| <= t.
+    Every block takes the allowance (4 d eps ||H|| + 6t) / <phi|phi>, d its
+    states and t = 1e-12 max(1, ||H||). The first step holds no ARPACK block
+    (:func:`_certifies`), so each energy at n_cut and 2 n_cut comes from dense
+    eigh or banded inverse iteration, and the sum covers whichever ran. The
+    first term is four times the backward error of dense eigh, d eps ||H||:
+    it covers the rounding of E, of s and of beta, and both eigenvalues where
+    eigh solved them. The second covers the brackets that
+    :func:`_lowest_banded` proves where it ran. Every Rayleigh quotient lies
+    in [-||H||, ||H||], so each banded solve's tolerance is at most t: a
+    banded E has E0(2 n_cut) in (E - 2t, E] and ||s|| <= t.
     - From below: E0(n_cut) >= E0(2 n_cut) > E - 2t, and a banded solve at
       n_cut returns a Rayleigh quotient, at least E0(n_cut).
     - From above: |<phi|s>| <= ||phi|| t <= t, so E0(n_cut) <= E + beta +
@@ -485,9 +483,7 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
       E0(n_cut) + 2t.
     That is 3t; 3t more cover the backward error of the banded Cholesky
     factorisation that proves each bracket, gamma_(kd+2) (2 kd + 1)
-    ||H - sigma|| <= 3569 eps (2 ||H|| + 1) < 2.4 t at kd <= _BAND_LIMIT.
-    The dense term still covers the rounding of E, of s and of beta, and a
-    dense solve at n_cut where that block is at most _BAND_FLOOR states."""
+    ||H - sigma|| <= 3569 eps (2 ||H|| + 1) < 2.4 t at kd <= _BAND_LIMIT."""
     na = params.n_atoms
     norm = max(_norm_bound(params, block[2]) for block in solved.values())
     bracket = 6e-12 * max(1.0, norm)
@@ -499,9 +495,7 @@ def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
         coupling = np.sum(layout.weights[top] * vec[layout.rows[top]]
                           * vec[layout.cols[top]])
         beta = -params.lam / math.sqrt(na) * coupling / weight
-        rounding = 4 * layout.index.size * np.finfo(float).eps * norm
-        if _banded(layout):
-            rounding += bracket
+        rounding = 4 * layout.index.size * np.finfo(float).eps * norm + bracket
         bounds[sector] = (float(beta), rounding / weight)
     return bounds
 
@@ -511,8 +505,9 @@ def _certifies(params: ModelParams, n_cut: int, solved: dict, tol: float) -> boo
     ground_full's energy test between n_cut and 2 n_cut passes: the energy
     change is below tol * max(1, |E|), and no energy within the bounds moves
     the parity choice at n_cut off the one at 2 n_cut. Never where a block at
-    2 n_cut is above _FIRST_STEP_LIMIT: the allowance covers dense eigh and
-    banded inverse iteration, not ARPACK."""
+    2 n_cut is above _FIRST_STEP_LIMIT, the size rule of :func:`_first_cutoff`:
+    only such a block can be ARPACK's, whose error the allowance does not
+    cover."""
     if _largest_block(params.n_atoms, 2 * n_cut) > _FIRST_STEP_LIMIT:
         return False
     bounds = _truncation_bounds(params, n_cut, solved)
@@ -559,9 +554,8 @@ def ground_full(params: ModelParams, tol: float = 1e-8,
     _FIRST_STEP_LIMIT states). Each doubling starts its banded or ARPACK
     solves from the previous cutoff's block vectors.
 
-    The first step solves 2 n0 cold, by banded inverse iteration where
-    :func:`_banded` picks it (up to N_a = 80, blocks above _BAND_FLOOR) and
-    by dense eigh otherwise. It solves n0 only where :func:`_certifies` does
+    The first step solves 2 n0 cold, by the solver :func:`_solve_cutoff`
+    picks for each block. It solves n0 only where :func:`_certifies` does
     not show from the 2 n0 blocks that the energy test between n0 and 2 n0
     passes; the first comparison is against E(2 n0) itself otherwise. Every
     result is the one that solving n0 first gives, bit for bit where the

@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import InputError
 
+# the degeneracy window of both solvers' tie rules: energies within
+# _TIE_TOL max(1, |E|) of the lowest count as one level
+_TIE_TOL = 1e-10
+
 
 def check_count(name: str, value, least: int) -> None:
     """The one check of a count: an int or numpy integer >= least, not a bool

@@ -21,7 +21,7 @@ import scipy.optimize
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import InputError, UnboundedSearchError
-from .model import ModelParams, PureState, check_count, fix_sign
+from .model import _TIE_TOL, ModelParams, PureState, check_count, fix_sign
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,12 @@ class GroundStateResult:
     at_transition: bool = False
 
 
-# _TIE_TOL is the relative degeneracy window of the sequential tie rule and
-# the at-transition flag; the guard and the proven cap need it <= 1e-3.
+# _TIE_TOL (model) is the window of the sequential tie rule and the
+# at-transition flag; the guard and the proven cap need it <= 1e-3.
 # Batched energies within _GUARD tie windows plus _ROUNDING (relative) of the
 # lowest are re-solved exactly; _STACK_FLOATS caps one padded eigvalsh stack.
 # transition_ladder finds a crossing by Brent's method to _ROOT_TOL
 # (absolute) plus brentq's default 4 eps (relative).
-_TIE_TOL = 1e-10
 _GUARD = 100.0
 _ROUNDING = 1e-12
 _STACK_FLOATS = 1 << 14

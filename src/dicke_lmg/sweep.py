@@ -193,9 +193,10 @@ def boundary_trace(records: list[GridRecord], spec: SweepSpec) -> list[BoundaryS
 def first_lambda_boundaries(records: list[GridRecord],
                             spec: SweepSpec) -> dict[float, float]:
     """For each eta row, the midpoint of its first lam segment in
-    :func:`boundary_trace` (rows without one are omitted)."""
+    :func:`boundary_trace` (rows without one are omitted). Only lam edges are
+    tested, each row's only up to its first boundary."""
     out: dict[float, float] = {}
-    for s in boundary_trace(records, spec):
-        if s.axis == "lam":
-            out.setdefault(s.eta, s.lam)
+    for axis, lam, eta, a, b in _edges(records, spec):
+        if axis == "lam" and eta not in out and _change(spec, a, b):
+            out[eta] = lam
     return out

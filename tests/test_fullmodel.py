@@ -298,10 +298,10 @@ class TestBandBuilder:
                         block = fullmodel._hamiltonian(params, layout,
                                                        counter_rotating=cr)
                         assert block.tobytes() == full[np.ix_(idx, idx)].tobytes()
-                        csr = fullmodel._hamiltonian(params, layout, sparse=True,
-                                                     counter_rotating=cr)
-                        assert csr.has_sorted_indices
-                        assert np.array_equal(csr.toarray(), block)
+                        if cr:
+                            csr = fullmodel._csr(params, layout)
+                            assert csr.has_sorted_indices
+                            assert np.array_equal(csr.toarray(), block)
 
     def test_block_kind_follows_its_shape(self, monkeypatch):
         # the block's own shape picks the solver: at N_a = 3 each parity
@@ -317,8 +317,8 @@ class TestBandBuilder:
             return lambda m, start=None: (calls.append((kind, m.shape))
                                           or (0.0, np.zeros(m.shape[-1])))
 
-        monkeypatch.setattr(fullmodel, "_lowest_pair", lambda m, start=None: record(
-            "csr" if scipy.sparse.issparse(m) else "dense")(m, start))
+        monkeypatch.setattr(fullmodel, "_lowest_dense", record("dense"))
+        monkeypatch.setattr(fullmodel, "_lowest_arpack", record("csr"))
         monkeypatch.setattr(fullmodel, "_lowest_banded", record("band"))
         params = _params(lam=0.5, n_atoms=3)
         n_cut = fullmodel._BAND_FLOOR // 2 - 1
@@ -408,17 +408,23 @@ def _solver_spy(monkeypatch):
     """Record (solver, states) of every block solve: "dense", "csr" or
     "band"."""
     calls = []
-    pair, banded = fullmodel._lowest_pair, fullmodel._lowest_banded
+    dense, arpack, banded = (fullmodel._lowest_dense, fullmodel._lowest_arpack,
+                             fullmodel._lowest_banded)
 
-    def pair_spy(matrix, start=None):
-        calls.append(("csr" if scipy.sparse.issparse(matrix) else "dense", matrix.shape[0]))
-        return pair(matrix, start)
+    def dense_spy(matrix):
+        calls.append(("dense", matrix.shape[0]))
+        return dense(matrix)
+
+    def arpack_spy(matrix, start):
+        calls.append(("csr", matrix.shape[0]))
+        return arpack(matrix, start)
 
     def band_spy(lower, start=None):
         calls.append(("band", lower.shape[1]))
         return banded(lower, start)
 
-    monkeypatch.setattr(fullmodel, "_lowest_pair", pair_spy)
+    monkeypatch.setattr(fullmodel, "_lowest_dense", dense_spy)
+    monkeypatch.setattr(fullmodel, "_lowest_arpack", arpack_spy)
     monkeypatch.setattr(fullmodel, "_lowest_banded", band_spy)
     return calls
 
@@ -433,12 +439,11 @@ def _parent_solve_cutoff(params, n_cut, starts=None):
         layout = fullmodel._layout(params.n_atoms, n_cut, sector)
         start = starts[sector][1] if sector in starts else None
         if layout.index.size <= fullmodel._FIRST_STEP_LIMIT:
-            pair = fullmodel._lowest_pair(fullmodel._hamiltonian(params, layout))
+            pair = fullmodel._lowest_dense(fullmodel._hamiltonian(params, layout))
         elif layout.half_bandwidth <= fullmodel._BAND_LIMIT:
             pair = fullmodel._lowest_banded(fullmodel._band_storage(params, layout), start)
         else:
-            pair = fullmodel._lowest_pair(
-                fullmodel._hamiltonian(params, layout, sparse=True), start)
+            pair = fullmodel._lowest_arpack(fullmodel._csr(params, layout), start)
         solved[sector] = (*pair, layout)
     return solved
 
@@ -464,8 +469,8 @@ class TestWarmStart:
             layout = fullmodel._layout(n_atoms, 2 * n_cut, sector)
             dense_e, dense_v = scipy.linalg.eigh(
                 fullmodel._hamiltonian(params, layout), subset_by_index=[0, 0])
-            energy, vec = fullmodel._lowest_pair(
-                fullmodel._hamiltonian(params, layout, sparse=True), starts[sector][1])
+            energy, vec = fullmodel._lowest_arpack(fullmodel._csr(params, layout),
+                                                   starts[sector][1])
             assert abs(energy - dense_e[0]) <= 1e-12 * max(1.0, abs(energy))
             assert abs(dense_v[:, 0] @ vec) >= 1.0 - 1e-12
             # the padded start is already close to the answer
@@ -479,14 +484,14 @@ class TestWarmStart:
         # cutoffs
         params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
         warm = ground_full(params)
-        lowest = fullmodel._lowest_pair
+        arpack = fullmodel._lowest_arpack
 
         def reference(block, start=None):
-            if scipy.sparse.issparse(block) and block.shape[0] <= 3000:
-                block = block.toarray()
-            return lowest(block)
+            if block.shape[0] <= 3000:
+                return fullmodel._lowest_dense(block.toarray())
+            return arpack(block, None)
 
-        monkeypatch.setattr(fullmodel, "_lowest_pair", reference)
+        monkeypatch.setattr(fullmodel, "_lowest_arpack", reference)
         monkeypatch.setattr(fullmodel, "_lowest_banded",
                             lambda lower, start=None: reference(_band_csr(lower)))
         cold = ground_full(params)
@@ -591,18 +596,17 @@ class TestWarmStart:
         built = []
         build = fullmodel._hamiltonian
 
-        def spy(params, layout, sparse=False, **kwargs):
-            built.append((sparse, layout.index.size))
-            return build(params, layout, sparse, **kwargs)
+        def spy(params, layout, **kwargs):
+            built.append(layout.index.size)
+            return build(params, layout, **kwargs)
 
         monkeypatch.setattr(fullmodel, "_hamiltonian", spy)
         solved = _solver_spy(monkeypatch)
         for lam in np.linspace(0.006, 0.6, 100):
             for eta in (0.8, 1.2, 1.6):
                 ground_full(_params(lam=lam, eta=eta, n_atoms=5))
-        assert not any(sparse for sparse, _ in built)
         assert [kind for kind, _ in solved] == ["dense"] * len(built)
-        assert max(dim for _, dim in built) == 123 <= fullmodel._BAND_FLOOR
+        assert max(built) == 123 <= fullmodel._BAND_FLOOR
 
     @pytest.mark.parametrize("n_atoms", [100, 160])
     def test_wide_blocks_keep_the_parent_route_bit_for_bit(self, n_atoms, monkeypatch):
@@ -622,10 +626,9 @@ class TestWarmStart:
 
     def test_arpack_failure_is_a_convergence_error(self, failing_arpack):
         layout = fullmodel._layout(20, 40, 0)
-        block = fullmodel._hamiltonian(_params(lam=0.8, n_atoms=20), layout,
-                                       sparse=True)
+        block = fullmodel._csr(_params(lam=0.8, n_atoms=20), layout)
         with pytest.raises(ConvergenceError, match=f"{layout.index.size}-state block"):
-            fullmodel._lowest_pair(block)
+            fullmodel._lowest_arpack(block, None)
 
 
 def _warm_band(n_atoms, lam, n_cut=None):
@@ -634,7 +637,7 @@ def _warm_band(n_atoms, lam, n_cut=None):
     2000 states; the start is the dense ground vector at n_cut."""
     params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
     n_cut = n_cut or min(initial_cutoff(params), 2000 // (n_atoms + 1))
-    start = fullmodel._lowest_pair(
+    start = fullmodel._lowest_dense(
         fullmodel._hamiltonian(params, fullmodel._layout(n_atoms, n_cut, 0)))[1]
     layout = fullmodel._layout(n_atoms, 2 * n_cut, 0)
     vals, vecs = scipy.linalg.eigh(fullmodel._hamiltonian(params, layout))
@@ -817,11 +820,17 @@ def _unhalved(params):
     return fullmodel._largest_block(params.n_atoms, 2 * n0) <= fullmodel._FIRST_STEP_LIMIT
 
 
+def _is_banded(layout):
+    """Whether _solve_cutoff sends the block on ``layout`` to banded inverse
+    iteration."""
+    return (layout.index.size > fullmodel._BAND_FLOOR
+            and layout.half_bandwidth <= fullmodel._BAND_LIMIT)
+
+
 def _banded_first(params):
     """Whether a block at twice the first cutoff is banded."""
     n_cut = 2 * fullmodel._first_cutoff(params)
-    return any(fullmodel._banded(fullmodel._layout(params.n_atoms, n_cut, s))
-               for s in (0, 1))
+    return any(_is_banded(fullmodel._layout(params.n_atoms, n_cut, s)) for s in (0, 1))
 
 
 def _assert_matches_parent(params, expected, **kwargs):
@@ -878,7 +887,7 @@ class TestCertifiedFirstCutoff:
         # whose vectors are only as close as their residual allows (1e-12)
         with monkeypatch.context() as patch:
             patch.setattr(fullmodel, "_lowest_banded", lambda lower, start=None:
-                          fullmodel._lowest_pair(_band_csr(lower), start))
+                          fullmodel._lowest_arpack(_band_csr(lower), start))
             expected, _ = _parent_ground_full(params)
         cutoffs = _cutoff_spy(monkeypatch)
         result = ground_full(params)
@@ -898,11 +907,20 @@ class TestCertifiedFirstCutoff:
             for sector, (beta, allowance) in bounds.items():
                 change = small[sector][0] - big[sector][0]
                 assert -allowance <= change <= max(beta, 0.0) + allowance
-                # dense eigh's rounding; the banded brackets add 6e-12 ||H||
-                is_banded = fullmodel._banded(big[sector][2])
-                assert allowance < (1e-9 if is_banded else 1e-10)
-                banded += is_banded
+                # dense eigh's rounding plus the banded brackets' 6e-12 ||H||
+                assert allowance < 1e-9
+                banded += _is_banded(big[sector][2])
         assert banded >= 20
+
+    def test_every_n5_sweep_point_certifies(self):
+        # the acceptance-8 domain: an allowance that refused a point here
+        # would add a solve at n0 to every sweep point like it
+        for lam, eta in itertools.product(np.linspace(0.006, 0.6, 12),
+                                          np.linspace(0.8, 1.6, 12)):
+            params = _params(lam=lam, eta=eta, n_atoms=5)
+            n0 = fullmodel._first_cutoff(params)
+            blocks = fullmodel._solve_cutoff(params, 2 * n0)
+            assert fullmodel._certifies(params, n0, blocks, 1e-8)
 
     @pytest.mark.parametrize("eta", [0.7, -0.8])
     def test_certificate_is_sound_on_banded_first_steps(self, eta):
@@ -1120,8 +1138,7 @@ def _blocks():
     params = _params(lam=0.8, eta=0.7, n_atoms=20)
     dense = fullmodel._hamiltonian(params, fullmodel._layout(20, 10, 0))
     sparse = fullmodel._layout(20, 40, 0)
-    return (dense, fullmodel._hamiltonian(params, sparse, sparse=True),
-            fullmodel._band_storage(params, sparse))
+    return (dense, fullmodel._csr(params, sparse), fullmodel._band_storage(params, sparse))
 
 
 def _sweep_spec():
@@ -1141,9 +1158,10 @@ class TestBlasThreads:
         banded_seen = _thread_spy(monkeypatch, scipy.linalg.lapack, "dpbtrf",
                                   blas_count)
         dense, csr, band = _blocks()
-        for block in (dense, csr):
-            fullmodel._lowest_pair(block)
-            assert blas_count() == 2
+        fullmodel._lowest_dense(dense)
+        assert blas_count() == 2
+        fullmodel._lowest_arpack(csr, None)
+        assert blas_count() == 2
         fullmodel._lowest_banded(band)
         assert blas_count() == 2
         assert (dense_seen, arpack_seen) == ([1], [2])
@@ -1157,7 +1175,7 @@ class TestBlasThreads:
 
         monkeypatch.setattr(scipy.linalg, "eigh", fail)
         with pytest.raises(np.linalg.LinAlgError):
-            fullmodel._lowest_pair(_blocks()[0])
+            fullmodel._lowest_dense(_blocks()[0])
         assert blas_count() == 2
 
     def test_concurrent_pins_share_one_count(self, blas_count):

@@ -5,7 +5,7 @@ from dicke_lmg import fullmodel, rwa
 from dicke_lmg import sweep as sweep_mod
 from dicke_lmg.cli import read_csv, write_csv
 from dicke_lmg.entanglement import cw_of_ground, entropy_of_ground
-from dicke_lmg.model import ModelParams
+from dicke_lmg.model import ModelParams, PureState
 from dicke_lmg.rwa import critical_coupling_1
 from dicke_lmg.sweep import (BoundarySegment, GridRecord, SweepSpec, boundary_trace,
                              first_lambda_boundaries, run_sweep)
@@ -310,6 +310,22 @@ class TestBoundaries:
         for extract in (boundary_trace, first_lambda_boundaries):
             with pytest.raises(ValueError, match="states"):
                 extract(back, spec)
+
+    def test_first_boundaries_test_lam_edges_only(self, monkeypatch):
+        # each row's lam edges up to its first boundary and no eta edge, for
+        # the dict the whole trace gives
+        spec = _full_spec()
+        records = run_sweep(spec)
+        expected = {}
+        for s in boundary_trace(records, spec):
+            if s.axis == "lam":
+                expected.setdefault(s.eta, s.lam)
+        calls = []
+        fidelity = PureState.fidelity
+        monkeypatch.setattr(PureState, "fidelity",
+                            lambda self, other: calls.append(1) or fidelity(self, other))
+        assert first_lambda_boundaries(records, spec) == expected != {}
+        assert 0 < len(calls) <= (spec.lam_axis[2] - 1) * spec.eta_axis[2]
 
     def test_flagged_full_points_keep_their_containment(self, monkeypatch):
         from dicke_lmg import sweep as sweep_mod

@@ -10,10 +10,11 @@ cutoff n_cut // 2 (warm), and banded inverse iteration from the uniform
 vector (bcold, as on the first step of ``ground_full``) and from the warm
 vector (bwarm), for blocks of about 33 to 4000 states at N_a = 5..120 (n_cut
 is at least 2, so small blocks exist only at small N_a). Each call goes
-through ``fullmodel._lowest_pair`` or ``fullmodel._lowest_banded``, so dense
-``eigh`` runs on one BLAS thread and ARPACK and the banded solve on the
-caller's, as in the solver; kd is the block's half-bandwidth, and dense is
-skipped above 1000 states. ``large-n`` times whole ``ground_full`` solves
+through the solver's own ``fullmodel._lowest_dense``, ``_lowest_arpack`` or
+``_lowest_banded``, so dense ``eigh`` runs on one BLAS thread and ARPACK and
+the banded solve on the caller's, as in the solver, whichever of them
+``fullmodel._solve_cutoff`` would pick; kd is the block's half-bandwidth, and
+dense is skipped above 1000 states. ``large-n`` times whole ``ground_full`` solves
 (delta = eta = 0, parity blocks) at N_a 10..160 and reports n_cut_used.
 """
 
@@ -45,16 +46,16 @@ def crossover():
                 params = ModelParams(omega_f=1.0, delta=0.0, eta=0.7, lam=lam,
                                      n_atoms=n_atoms)
                 layout = fullmodel._Layout.build(n_atoms, n_cut, 0)
-                csr = fullmodel._hamiltonian(params, layout, sparse=True)
+                csr = fullmodel._csr(params, layout)
                 band = fullmodel._band_storage(params, layout)
                 half = fullmodel._Layout.build(n_atoms, n_cut // 2, 0)
-                _, warm = fullmodel._lowest_pair(fullmodel._hamiltonian(params, half))
+                _, warm = fullmodel._lowest_dense(fullmodel._hamiltonian(params, half))
                 dim = layout.index.size
                 dense = csr.toarray() if dim <= 1000 else None
                 times = (math.nan if dense is None
-                         else _median_ms(lambda: fullmodel._lowest_pair(dense)),
-                         _median_ms(lambda: fullmodel._lowest_pair(csr)),
-                         _median_ms(lambda: fullmodel._lowest_pair(csr, warm)),
+                         else _median_ms(lambda: fullmodel._lowest_dense(dense)),
+                         _median_ms(lambda: fullmodel._lowest_arpack(csr, None)),
+                         _median_ms(lambda: fullmodel._lowest_arpack(csr, warm)),
                          _median_ms(lambda: fullmodel._lowest_banded(band)),
                          _median_ms(lambda: fullmodel._lowest_banded(band, warm)))
                 print(f"{n_atoms:>3} {lam:>5} {n_cut:>6} {dim:>7} {layout.half_bandwidth:>3}"
