@@ -53,8 +53,10 @@ _BAND_LIMIT = 41
 # states) dense, so the acceptance-8 and full-sweep CSVs keep their bytes. It
 # must stay at or above 123
 _BAND_FLOOR = 128
-# the shifts a banded solve may try, factored or bisected; no solve on a grid
-# up to N_a = 80, lam = 2.5 needed 30
+# the shifts a banded solve may try: factored, bisected or reused from its
+# guess. On a 160-point grid (N_a 10-80, lam 0.1-2.5, eta -0.8-1.6) the worst
+# block tried 25, 20 of them factorisations, and none reused a guess's factor
+# more than 4 times
 _BAND_SHIFT_CAP = 100
 # the largest photon cutoff ground_full may solve
 _N_CUT_MAX = 4096
@@ -339,8 +341,8 @@ def _lowest_arpack(matrix: scipy.sparse.csr_matrix, start: np.ndarray | None
     return float(vals[0]), vecs[:, 0]
 
 
-def _lowest_banded(lower: np.ndarray, start: np.ndarray | None = None
-                   ) -> tuple[float, np.ndarray]:
+def _lowest_banded(lower: np.ndarray, start: np.ndarray | None = None,
+                   guess: float | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a block in lower band storage by inverse iteration
     from :func:`_start_vector`, on the caller's BLAS threads.
 
@@ -351,11 +353,21 @@ def _lowest_banded(lower: np.ndarray, start: np.ndarray | None = None
     so the iteration targets the ground level whatever the start. A shift
     that does not factor is bisected against the highest shift known to
     factor, at first one below the Gershgorin bound. x is accepted when
-    r <= tol and its own shift factors: then rho - 2 tol < E0 <= rho. Raises
-    ConvergenceError once _BAND_SHIFT_CAP shifts have been tried, and before
-    the first where the largest row sum of |H|, a bound on ||H||, is not
-    finite or (2 ||H||)^2 overflows: the residual norms square entries of
-    up to that size."""
+    r <= tol and the highest shift that factored is at least rho - 2 tol:
+    then rho - 2 tol < E0 <= rho.
+
+    ``guess``, an energy expected near E0, is tried once before the first
+    step at guess - 2e-12 max(1, |guess|), if that lies above the Gershgorin
+    floor. A guess that factors becomes the highest factored shift, and its
+    factor is kept: a step whose shift is that one reuses it, and a step
+    whose own shift fails solves with it instead of bisecting, until a higher
+    shift factors. A guess that fails is forgotten, and the solve runs as
+    without one.
+
+    Raises ConvergenceError once _BAND_SHIFT_CAP shifts have been tried,
+    reused ones included, and before the first where the largest row sum of
+    |H|, a bound on ||H||, is not finite or (2 ||H||)^2 overflows: the
+    residual norms square entries of up to that size."""
     depth, dim = lower.shape[0] - 1, lower.shape[1]
     # the row sums of |H| give the Gershgorin bound min(H_ii - sum_j!=i |H_ij|)
     row_sums = scipy.linalg.blas.dsbmv(depth, 1.0, np.abs(lower), np.ones(dim), lower=1)
@@ -370,28 +382,41 @@ def _lowest_banded(lower: np.ndarray, start: np.ndarray | None = None
     above = math.inf
     shifted = lower.copy(order="F")
     tried = 0
+    kept = None
+    sigma = below if guess is None else guess - 2e-12 * max(1.0, abs(guess))
+    if sigma > below:
+        tried += 1
+        shifted[0] = lower[0] - sigma
+        factor, info = scipy.linalg.lapack.dpbtrf(shifted, lower=1)
+        if info == 0:
+            below, kept = sigma, factor
     while True:
         hx = scipy.linalg.blas.dsbmv(depth, 1.0, lower, x, lower=1)
         rho = float(x @ hx)
         residual = float(np.linalg.norm(hx - rho * x))
         tol = 1e-12 * max(1.0, abs(rho))
         sigma = max(rho - 2.0 * max(residual, tol), below)
-        own_shift = True
         while True:
             tried += 1
             if tried > _BAND_SHIFT_CAP:
                 raise ConvergenceError(
                     f"banded inverse iteration did not converge on a {dim}-state block")
+            if kept is not None and sigma == below:
+                factor = kept
+                break
             if sigma < above:
                 shifted[0] = lower[0] - sigma
                 factor, info = scipy.linalg.lapack.dpbtrf(shifted, lower=1)
                 if info == 0:
+                    kept = None
                     break
                 above = sigma
-            own_shift = False
+            if kept is not None:
+                factor, sigma = kept, below
+                break
             sigma = 0.5 * (below + above)
         below = sigma
-        if own_shift and residual <= tol:
+        if residual <= tol and below >= rho - 2.0 * tol:
             return rho, x
         x, _ = scipy.linalg.lapack.dpbtrs(factor, x, lower=1)
         x /= np.linalg.norm(x)
@@ -424,14 +449,17 @@ def _solve_cutoff(params: ModelParams, n_cut: int,
     a larger cutoff, the block vectors start the banded and ARPACK solves
     there, since a sector's states at this cutoff are a prefix of its states
     at any larger one; without them those solves start from the uniform
-    vector."""
+    vector. A banded sector-1 block takes sector 0's energy as its guess:
+    past the first transition the two ground levels form a near-degenerate
+    doublet."""
     starts = starts or {}
     solved = {}
     for sector in (0, 1):
         layout = _layout(params.n_atoms, n_cut, sector)
         start = starts[sector][1] if sector in starts else None
         if layout.index.size > _BAND_FLOOR and layout.half_bandwidth <= _BAND_LIMIT:
-            pair = _lowest_banded(_band_storage(params, layout), start)
+            guess = solved[0][0] if sector else None
+            pair = _lowest_banded(_band_storage(params, layout), start, guess)
         elif layout.index.size <= _FIRST_STEP_LIMIT:
             pair = _lowest_dense(_hamiltonian(params, layout))
         else:

@@ -314,7 +314,7 @@ class TestBandBuilder:
         calls = []
 
         def record(kind):
-            return lambda m, start=None: (calls.append((kind, m.shape))
+            return lambda m, start=None, guess=None: (calls.append((kind, m.shape))
                                           or (0.0, np.zeros(m.shape[-1])))
 
         monkeypatch.setattr(fullmodel, "_lowest_dense", record("dense"))
@@ -377,13 +377,14 @@ def _band_csr(lower):
 
 
 def _banded_spy(monkeypatch):
-    """Record (band, start, eigenvalue, eigenvector) of every banded solve."""
+    """Record (band, start, guess, eigenvalue, eigenvector) of every banded
+    solve."""
     calls = []
     solve = fullmodel._lowest_banded
 
-    def spy(lower, start=None):
-        energy, vec = solve(lower, start)
-        calls.append((lower, start, energy, vec))
+    def spy(lower, start=None, guess=None):
+        energy, vec = solve(lower, start, guess)
+        calls.append((lower, start, guess, energy, vec))
         return energy, vec
 
     monkeypatch.setattr(fullmodel, "_lowest_banded", spy)
@@ -419,9 +420,9 @@ def _solver_spy(monkeypatch):
         calls.append(("csr", matrix.shape[0]))
         return arpack(matrix, start)
 
-    def band_spy(lower, start=None):
+    def band_spy(lower, start=None, guess=None):
         calls.append(("band", lower.shape[1]))
-        return banded(lower, start)
+        return banded(lower, start, guess)
 
     monkeypatch.setattr(fullmodel, "_lowest_dense", dense_spy)
     monkeypatch.setattr(fullmodel, "_lowest_arpack", arpack_spy)
@@ -493,7 +494,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(fullmodel, "_lowest_arpack", reference)
         monkeypatch.setattr(fullmodel, "_lowest_banded",
-                            lambda lower, start=None: reference(_band_csr(lower)))
+                            lambda lower, start=None, guess=None: reference(_band_csr(lower)))
         cold = ground_full(params)
         assert (warm.n_cut_used, warm.parity) == (cold.n_cut_used, cold.parity)
         assert abs(warm.energy - cold.energy) <= 1e-12 * max(1.0, abs(cold.energy))
@@ -518,19 +519,22 @@ class TestWarmStart:
         ground_full(params)
         assert cutoffs[:3] == [12, 6, 24] and len(calls) >= 8 and not arpack
         first, doublings = calls[:4], calls[4:]
-        assert [lower.shape[1] for lower, _, _, _ in first] == [267, 266, 144, 143]
-        assert all(start is None for _, start, _, _ in first)
+        assert [lower.shape[1] for lower, _, _, _, _ in first] == [267, 266, 144, 143]
+        assert all(start is None for _, start, _, _, _ in first)
+        # sector 1 takes sector 0's energy at the same cutoff as its guess
+        for even, odd in zip(calls[::2], calls[1::2]):
+            assert even[2] is None and odd[2] == even[3]
         # the first doubling continues the blocks of cutoff 12
-        starts = [first[0][3], first[1][3]] + [vec for _, _, _, vec in doublings]
+        starts = [first[0][4], first[1][4]] + [vec for _, _, _, _, vec in doublings]
         # two sectors per cutoff: call i continues the vector two before it
-        for prev, (lower, start, energy, vec) in zip(starts, doublings):
+        for prev, (lower, start, guess, energy, vec) in zip(starts, doublings):
             assert np.array_equal(start, prev)
             v0 = fullmodel._start_vector(start, lower.shape[1])
             assert np.array_equal(v0[:prev.size], prev)
             assert not v0[prev.size:].any()
             assert abs(v0 @ vec) > 0.9
             # the solve runs from the zero-padded vector itself
-            padded = fullmodel._lowest_banded(lower, v0)
+            padded = fullmodel._lowest_banded(lower, v0, guess)
             assert padded[0] == energy and np.array_equal(padded[1], vec)
 
     def test_each_arpack_doubling_starts_from_the_previous_block_vector(self, monkeypatch):
@@ -564,7 +568,7 @@ class TestWarmStart:
         result = ground_full(params)
         assert not arpack
         if n_atoms <= _BANDED_N:
-            assert [start for _, start, _, _ in banded] == [None, None]
+            assert [start for _, start, _, _, _ in banded] == [None, None]
         else:
             assert not banded
         banded.clear()
@@ -578,7 +582,7 @@ class TestWarmStart:
         fullmodel._solve_cutoff(params, 32, starts=starts)
         if n_atoms <= _BANDED_N:
             assert not arpack and len(banded) == 4 and len(factored) == 2
-            for lower, start, energy, vec in banded[2:]:
+            for lower, start, _, energy, vec in banded[2:]:
                 v0 = fullmodel._start_vector(start, lower.shape[1])
                 assert np.array_equal(vec, v0 / np.linalg.norm(v0))
                 assert np.linalg.norm(_band_csr(lower) @ v0 - energy * v0) < 1e-12
@@ -631,15 +635,15 @@ class TestWarmStart:
             fullmodel._lowest_arpack(block, None)
 
 
-def _warm_band(n_atoms, lam, n_cut=None):
-    """(band, dense eigenvalues, dense eigenvectors, warm start) of sector 0
+def _warm_band(n_atoms, lam, n_cut=None, sector=0):
+    """(band, dense eigenvalues, dense eigenvectors, warm start) of a sector
     at the doubling to 2 n_cut, n_cut capped so that the block stays near
     2000 states; the start is the dense ground vector at n_cut."""
     params = _params(lam=lam, eta=0.7, n_atoms=n_atoms)
     n_cut = n_cut or min(initial_cutoff(params), 2000 // (n_atoms + 1))
     start = fullmodel._lowest_dense(
-        fullmodel._hamiltonian(params, fullmodel._layout(n_atoms, n_cut, 0)))[1]
-    layout = fullmodel._layout(n_atoms, 2 * n_cut, 0)
+        fullmodel._hamiltonian(params, fullmodel._layout(n_atoms, n_cut, sector)))[1]
+    layout = fullmodel._layout(n_atoms, 2 * n_cut, sector)
     vals, vecs = scipy.linalg.eigh(fullmodel._hamiltonian(params, layout))
     return fullmodel._band_storage(params, layout), vals, vecs, start
 
@@ -713,6 +717,60 @@ class TestBandedSolve:
             lower[1, 7] = bad
             with pytest.raises(ConvergenceError, match="overflows"):
                 fullmodel._lowest_banded(lower)
+
+    def test_partner_level_guess_saves_factorisations(self, monkeypatch):
+        # at N_a = 40, lam = 0.8 the two parity levels are a near-degenerate
+        # doublet: sector 0's energy at cutoff 56, the guess _solve_cutoff
+        # passes, is within 1e-12 of sector 1's E0 there
+        even, _, _, even_start = _warm_band(40, 0.8, n_cut=28)
+        guess = fullmodel._lowest_banded(even, even_start)[0]
+        lower, vals, vecs, start = _warm_band(40, 0.8, n_cut=28, sector=1)
+        assert abs(guess - vals[0]) <= 1e-12 * abs(guess)
+        infos = _factor_spy(monkeypatch)
+        _assert_lowest_pair(fullmodel._lowest_banded(lower, start), vals, vecs, lower)
+        assert len(infos) >= 8
+        infos.clear()
+        _assert_lowest_pair(fullmodel._lowest_banded(lower, start, guess),
+                            vals, vecs, lower)
+        assert len(infos) <= 3
+
+    @pytest.mark.parametrize("n_atoms,lam", [(20, 0.45), (40, 0.8)])
+    def test_guess_above_the_ground_level_costs_one_failed_factorisation(
+            self, n_atoms, lam, monkeypatch):
+        # a guess at the block's E1 does not factor and is forgotten: the
+        # solve then runs as without it, bit for bit
+        lower, vals, vecs, start = _warm_band(n_atoms, lam)
+        infos = _factor_spy(monkeypatch)
+        plain = fullmodel._lowest_banded(lower, start)
+        unguessed = infos.copy()
+        infos.clear()
+        guessed = fullmodel._lowest_banded(lower, start, vals[1])
+        _assert_lowest_pair(guessed, vals, vecs, lower)
+        assert guessed[0] == plain[0] and np.array_equal(guessed[1], plain[1])
+        assert infos[0] != 0 and infos[1:] == unguessed
+
+    def test_guess_below_the_gershgorin_floor_is_ignored(self, monkeypatch):
+        lower, vals, vecs, start = _warm_band(20, 0.8)
+        norm = np.abs(_band_csr(lower)).sum(axis=1).max()
+        infos = _factor_spy(monkeypatch)
+        plain = fullmodel._lowest_banded(lower, start)
+        unguessed = infos.copy()
+        infos.clear()
+        # the floor is at least -||H|| - 1
+        guessed = fullmodel._lowest_banded(lower, start, -norm - 2.0)
+        _assert_lowest_pair(guessed, vals, vecs, lower)
+        assert guessed[0] == plain[0] and np.array_equal(guessed[1], plain[1])
+        assert infos == unguessed
+
+    def test_doublet_solve_counts_its_factorisations(self, monkeypatch):
+        # the costliest full-solve-large-n op at seed 0: its banded solves
+        # ran 80 factorisations before sector 1 took sector 0's energy as
+        # its guess
+        params = _params(lam=0.8008787461728306, eta=0.7247090257404294, n_atoms=40)
+        infos = _factor_spy(monkeypatch)
+        result = ground_full(params)
+        assert (result.n_cut_used, result.parity) == (112, 1)
+        assert len(infos) <= 55
 
     def test_factorisations_that_never_succeed_stop_at_the_cap(self, monkeypatch):
         # a failure at every shift, the Gershgorin floor included, bisects an
@@ -886,7 +944,7 @@ class TestCertifiedFirstCutoff:
         # its large cold n0 blocks would otherwise come out of banded solves
         # whose vectors are only as close as their residual allows (1e-12)
         with monkeypatch.context() as patch:
-            patch.setattr(fullmodel, "_lowest_banded", lambda lower, start=None:
+            patch.setattr(fullmodel, "_lowest_banded", lambda lower, start=None, guess=None:
                           fullmodel._lowest_arpack(_band_csr(lower), start))
             expected, _ = _parent_ground_full(params)
         cutoffs = _cutoff_spy(monkeypatch)

@@ -15,13 +15,17 @@ through the solver's own ``fullmodel._lowest_dense``, ``_lowest_arpack`` or
 the banded solve on the caller's, as in the solver, whichever of them
 ``fullmodel._solve_cutoff`` would pick; kd is the block's half-bandwidth, and
 dense is skipped above 1000 states. ``large-n`` times whole ``ground_full`` solves
-(delta = eta = 0, parity blocks) at N_a 10..160 and reports n_cut_used.
+(delta = eta = 0, parity blocks) at N_a 10..160 and reports, per solve,
+n_cut_used and the banded Cholesky factorisations (``dpbtrf`` calls) of its
+banded blocks as calls/failed.
 """
 
 import argparse
 import math
 import statistics
 import time
+
+import scipy.linalg
 
 from dicke_lmg import fullmodel
 from dicke_lmg.errors import ConvergenceError
@@ -63,19 +67,30 @@ def crossover():
 
 
 def large_n():
-    print("N_a  " + "  ".join(f"{'lam = ' + str(lam):>20}" for lam in (0.3, 1.0, 2.0)))
+    infos = []
+    factor = scipy.linalg.lapack.dpbtrf
+
+    def counted(*args, **kwargs):
+        result = factor(*args, **kwargs)
+        infos.append(result[1])
+        return result
+
+    scipy.linalg.lapack.dpbtrf = counted
+    print("N_a  " + "  ".join(f"{'lam = ' + str(lam):>26}" for lam in (0.3, 1.0, 2.0)))
     for n_atoms in (10, 20, 40, 80, 120, 160):
         cells = []
         for lam in (0.3, 1.0, 2.0):
             params = ModelParams(omega_f=1.0, delta=0.0, eta=0.0, lam=lam,
                                  n_atoms=n_atoms)
+            infos.clear()
             start = time.perf_counter()
             try:
                 n_cut = fullmodel.ground_full(params).n_cut_used
             except ConvergenceError:
                 n_cut = "cap"
-            cells.append(f"{time.perf_counter() - start:.3f} s ({n_cut})")
-        print(f"{n_atoms:>3}  " + "  ".join(f"{c:>20}" for c in cells), flush=True)
+            failed = sum(info != 0 for info in infos)
+            cells.append(f"{time.perf_counter() - start:.3f} s ({n_cut}, {len(infos)}/{failed})")
+        print(f"{n_atoms:>3}  " + "  ".join(f"{c:>26}" for c in cells), flush=True)
 
 
 if __name__ == "__main__":
