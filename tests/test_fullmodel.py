@@ -738,16 +738,19 @@ class TestBandedSolve:
     def test_guess_above_the_ground_level_costs_one_failed_factorisation(
             self, n_atoms, lam, monkeypatch):
         # a guess at the block's E1 does not factor and is forgotten: the
-        # solve then runs as without it, bit for bit
-        lower, vals, vecs, start = _warm_band(n_atoms, lam)
+        # solve then runs as without it, bit for bit, from a warm start and
+        # from the second eigenvector, whose own shifts are bisected
+        lower, vals, vecs, warm = _warm_band(n_atoms, lam)
         infos = _factor_spy(monkeypatch)
-        plain = fullmodel._lowest_banded(lower, start)
-        unguessed = infos.copy()
-        infos.clear()
-        guessed = fullmodel._lowest_banded(lower, start, vals[1])
-        _assert_lowest_pair(guessed, vals, vecs, lower)
-        assert guessed[0] == plain[0] and np.array_equal(guessed[1], plain[1])
-        assert infos[0] != 0 and infos[1:] == unguessed
+        for start in (warm, vecs[:, 1]):
+            infos.clear()
+            plain = fullmodel._lowest_banded(lower, start)
+            unguessed = infos.copy()
+            infos.clear()
+            guessed = fullmodel._lowest_banded(lower, start, vals[1])
+            _assert_lowest_pair(guessed, vals, vecs, lower)
+            assert guessed[0] == plain[0] and np.array_equal(guessed[1], plain[1])
+            assert infos[0] != 0 and infos[1:] == unguessed
 
     def test_guess_below_the_gershgorin_floor_is_ignored(self, monkeypatch):
         lower, vals, vecs, start = _warm_band(20, 0.8)
