@@ -45,13 +45,13 @@ _FIRST_STEP_LIMIT = 350
 # In photon-major order the half-bandwidth is N_a // 2 + 1, or one more at odd
 # N_a (21 at N_a = 40, 41 at N_a = 80, 61 at N_a = 120). Banded whole solves
 # win up to half-bandwidth 41, are mixed at 51 and 61 and lose 1.5-2x at 81
-# (README)
+# (README, "Solver limits")
 _BAND_LIMIT = 41
 # narrow blocks of at most this many states stay on dense eigh. The floor is
 # not a speed crossover (a cold banded solve is already faster at 99 states,
-# README): it keeps every block of the N_a = 5, lam <= 0.6 sweeps (at most 123
-# states) dense, so the acceptance-8 and full-sweep CSVs keep their bytes. It
-# must stay at or above 123
+# README, "Solver limits"): it keeps every block of the N_a = 5, lam <= 0.6
+# sweeps (at most 123 states) dense, so the acceptance-8 and full-sweep CSVs
+# keep their bytes. It must stay at or above 123
 _BAND_FLOOR = 128
 # the shifts a banded solve may try: factored, bisected or reused from its
 # guess. On a 160-point grid (N_a 10-80, lam 0.1-2.5, eta -0.8-1.6) the worst
@@ -292,9 +292,9 @@ def _one_blas_thread():
     """Run scipy's OpenBLAS on one thread inside, restoring the caller's count
     on exit. A dense block is too small to split: on two cores a second scipy
     thread contends with numpy's separate OpenBLAS pool when that pool still
-    spins from a call just before (README). The count is one setting of the
-    whole process, so the lock is held from the save to the restore: callers
-    that solve from their own threads take turns."""
+    spins from a call just before (README, "BLAS threads"). The count is one
+    setting of the whole process, so the lock is held from the save to the
+    restore: callers that solve from their own threads take turns."""
     calls = _blas_threads()
     if calls is None:
         yield
@@ -484,7 +484,8 @@ def _ground_sector(solved: dict) -> tuple[int, int, float]:
 def _truncation_bounds(params: ModelParams, n_cut: int, solved: dict) -> dict:
     """(beta, allowance) for each block solved at 2 n_cut: the energy
     ground_full computes for that block at n_cut lies in [E - allowance,
-    E + max(beta, 0) + allowance], E its energy at 2 n_cut (README).
+    E + max(beta, 0) + allowance], E its energy at 2 n_cut (README, "The
+    certified first cutoff").
 
     By interlacing and the variational principle, E0(2 n_cut) <= E0(n_cut) <=
     <phi|H|phi> / <phi|phi>, phi the photon layers 0..n_cut of the 2 n_cut

@@ -1,5 +1,9 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from dicke_lmg import fullmodel
@@ -20,6 +24,136 @@ def failing_banded(monkeypatch):
     """Let every banded inverse iteration try one shift: a warm start that
     is not already an eigenvector then raises ConvergenceError."""
     monkeypatch.setattr(fullmodel, "_BAND_SHIFT_CAP", 1)
+
+
+@dataclass(frozen=True)
+class Call:
+    """One call where the full solver reached scipy.
+
+    ``kind`` is "eigh" (a dense solve), "eigsh" (an ARPACK solve) or
+    "dpbtrf" / "dpbtrs" (a banded Cholesky factorisation or solve), ``dim``
+    the block's states, ``rows`` its stored rows (kd + 1 for a band) and
+    ``solve`` the index into ``SolverCalls.solves`` of the cutoff being
+    solved, None outside one. ``threads`` is scipy's OpenBLAS thread count
+    inside the call, None without the scipy-openblas symbols. ``v0`` is
+    ARPACK's start vector or the right-hand side of a banded solve, and
+    ``info`` LAPACK's return code."""
+
+    kind: str
+    dim: int
+    rows: int
+    solve: int | None
+    threads: int | None
+    v0: np.ndarray | None = None
+    info: int | None = None
+
+
+# the solver each scipy call belongs to
+_SOLVER = {"eigh": "dense", "eigsh": "arpack", "dpbtrf": "band", "dpbtrs": "band"}
+
+
+@dataclass
+class SolverCalls:
+    """What the full solver asked of scipy, in call order: ``log`` holds one
+    Call per eigensolver or banded Cholesky call, ``solves`` the (n_cut,
+    solved) of each cutoff solved, ``solved`` as _solve_cutoff returned it.
+    The ``solve`` indices hold for one solving thread."""
+
+    log: list = field(default_factory=list)
+    solves: list = field(default_factory=list)
+    open: int | None = None
+
+    @property
+    def cutoffs(self) -> list:
+        return [n_cut for n_cut, _ in self.solves]
+
+    def of(self, kind: str, solve: int | None = ...) -> list:
+        """The calls of one kind, of one solve if ``solve`` is given."""
+        return [c for c in self.log
+                if c.kind == kind and (solve is ... or c.solve == solve)]
+
+    def route(self, solve: int = -1) -> list:
+        """(solver, states) of sectors 0 and 1 of a solved cutoff: sector 0
+        makes the solve's first call and sector 1 its last."""
+        index = range(len(self.solves))[solve]
+        calls = [c for c in self.log if c.solve == index]
+        return [(_SOLVER[c.kind], c.dim) for c in (calls[0], calls[-1])]
+
+    def infos(self, solve: int | None = ...) -> list:
+        """The info of each banded Cholesky factorisation, of one solve if
+        ``solve`` is given."""
+        return [c.info for c in self.of("dpbtrf", solve)]
+
+    def starts(self, solve: int = -1) -> list:
+        """The start of sectors 0 and 1 of a solved cutoff as their solver
+        saw it: ARPACK's v0, or the normalised start a banded solve passes to
+        its first dpbtrs, None where it accepted that start without one.
+        Dense solves take no start."""
+        index = range(len(self.solves))[solve]
+        arpack = self.of("eigsh", index)
+        if arpack:
+            return [c.v0 for c in arpack]
+        first = {}
+        for call in self.of("dpbtrs", index):
+            first.setdefault(call.dim, call.v0)
+        return [first.get(dim) for _, dim in self.route(index)]
+
+    def clear(self) -> None:
+        self.log.clear()
+        self.solves.clear()
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record every call where fullmodel reaches scipy's eigensolvers and
+    banded Cholesky, and every cutoff it solves (SolverCalls)."""
+    calls = SolverCalls()
+    blas = fullmodel._blas_threads()
+    threads = blas[0] if blas else lambda: None
+
+    def record(kind, matrix, **fields):
+        dim = matrix.shape[-1]
+        rows = matrix.shape[0] if matrix.ndim == 2 else 1
+        calls.log.append(Call(kind, dim, rows, calls.open, threads(), **fields))
+
+    eigh, eigsh = scipy.linalg.eigh, scipy.sparse.linalg.eigsh
+    dpbtrf, dpbtrs = scipy.linalg.lapack.dpbtrf, scipy.linalg.lapack.dpbtrs
+    solve_cutoff = fullmodel._solve_cutoff
+
+    def eigh_seam(a, *args, **kwargs):
+        record("eigh", a)
+        return eigh(a, *args, **kwargs)
+
+    def eigsh_seam(a, *args, **kwargs):
+        record("eigsh", a, v0=np.copy(kwargs.get("v0")))
+        return eigsh(a, *args, **kwargs)
+
+    def dpbtrf_seam(ab, *args, **kwargs):
+        factor, info = dpbtrf(ab, *args, **kwargs)
+        record("dpbtrf", ab, info=info)
+        return factor, info
+
+    def dpbtrs_seam(ab, b, *args, **kwargs):
+        x, info = dpbtrs(ab, b, *args, **kwargs)
+        record("dpbtrs", ab, v0=np.copy(b), info=info)
+        return x, info
+
+    def solve_seam(params, n_cut, *args, **kwargs):
+        calls.open = len(calls.solves)
+        calls.solves.append((n_cut, None))
+        try:
+            solved = solve_cutoff(params, n_cut, *args, **kwargs)
+        finally:
+            calls.open = None
+        calls.solves[-1] = (n_cut, solved)
+        return solved
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh_seam)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh_seam)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", dpbtrf_seam)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", dpbtrs_seam)
+    monkeypatch.setattr(fullmodel, "_solve_cutoff", solve_seam)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
