@@ -104,17 +104,23 @@ class TestGroundFull:
     @pytest.mark.parametrize("n_atoms,lam,eta", [(3, 0.6, 0.3), (5, 2.0, 0.0), (20, 1.0, 0.7)])
     def test_ground_has_definite_parity(self, n_atoms, lam, eta):
         # also past lam_c1, where the parity levels form a near-degenerate
-        # doublet and any mix of them is a ground vector of the whole matrix.
-        # Where their gap lies within _even_wins' window (N_a = 5, lam = 2),
-        # parity is the tie rule's even choice, not a resolved level order
+        # doublet and any mix of them is a ground vector of the whole matrix
         result = ground_full(_params(lam=lam, eta=eta, n_atoms=n_atoms))
         signs = parity_diagonal(ProductBasis(n_atoms=n_atoms, n_cut=result.n_cut_used))
         mean = float(signs @ result.state.amplitudes ** 2)
         assert abs(abs(mean) - 1.0) <= 1e-12
         assert result.parity == round(mean)
         tied = result.parity_gap <= 1e-10 * max(1.0, abs(result.energy))
-        assert tied or n_atoms != 5
         assert result.parity == +1 or not tied
+
+    def test_parity_inside_the_tie_window_is_the_even_choice(self):
+        # N_a = 5 at lam = 2: the doublet's gap lies within _even_wins' window,
+        # so parity is the tie rule's even choice, not a resolved level order
+        result = ground_full(_params(lam=2.0, n_atoms=5))
+        assert result.parity == +1
+        assert result.parity_gap <= 1e-10 * max(1.0, abs(result.energy))
+        signs = parity_diagonal(ProductBasis(n_atoms=5, n_cut=result.n_cut_used))
+        assert abs(float(signs @ result.state.amplitudes ** 2) - 1.0) <= 1e-12
 
     def test_use_parity_blocks_accepts_only_true(self):
         params = _params(lam=0.4, eta=0.8)
