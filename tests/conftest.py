@@ -34,7 +34,8 @@ class Call:
     "dpbtrf" / "dpbtrs" (a banded Cholesky factorisation or solve), ``dim``
     the block's states, ``rows`` its stored rows (kd + 1 for a band) and
     ``solve`` the index into ``SolverCalls.solves`` of the cutoff being
-    solved, None outside one. ``threads`` is scipy's OpenBLAS thread count
+    solved and ``sector`` the parity block being solved in it, both None
+    outside a solve. ``threads`` is scipy's OpenBLAS thread count
     inside the call, None without the scipy-openblas symbols. ``v0`` is
     ARPACK's start vector or the right-hand side of a banded solve, and
     ``info`` LAPACK's return code."""
@@ -43,6 +44,7 @@ class Call:
     dim: int
     rows: int
     solve: int | None
+    sector: int | None
     threads: int | None
     v0: np.ndarray | None = None
     info: int | None = None
@@ -57,11 +59,12 @@ class SolverCalls:
     """What the full solver asked of scipy, in call order: ``log`` holds one
     Call per eigensolver or banded Cholesky call, ``solves`` the (n_cut,
     solved) of each cutoff solved, ``solved`` as _solve_cutoff returned it.
-    The ``solve`` indices hold for one solving thread."""
+    The ``solve`` and ``sector`` tags hold for one solving thread."""
 
     log: list = field(default_factory=list)
     solves: list = field(default_factory=list)
     open: int | None = None
+    sector: int | None = None
 
     @property
     def cutoffs(self) -> list:
@@ -72,12 +75,16 @@ class SolverCalls:
         return [c for c in self.log
                 if c.kind == kind and (solve is ... or c.solve == solve)]
 
-    def route(self, solve: int = -1) -> list:
-        """(solver, states) of sectors 0 and 1 of a solved cutoff: sector 0
-        makes the solve's first call and sector 1 its last."""
+    def _sectors(self, solve: int) -> list:
+        """The calls of sectors 0 and 1 of a solved cutoff."""
         index = range(len(self.solves))[solve]
         calls = [c for c in self.log if c.solve == index]
-        return [(_SOLVER[c.kind], c.dim) for c in (calls[0], calls[-1])]
+        assert {c.sector for c in calls} == {0, 1}, "a solve laid out other than two blocks"
+        return [[c for c in calls if c.sector == sector] for sector in (0, 1)]
+
+    def route(self, solve: int = -1) -> list:
+        """(solver, states) of sectors 0 and 1 of a solved cutoff."""
+        return [(_SOLVER[calls[0].kind], calls[0].dim) for calls in self._sectors(solve)]
 
     def infos(self, solve: int | None = ...) -> list:
         """The info of each banded Cholesky factorisation, of one solve if
@@ -89,14 +96,8 @@ class SolverCalls:
         saw it: ARPACK's v0, or the normalised start a banded solve passes to
         its first dpbtrs, None where it accepted that start without one.
         Dense solves take no start."""
-        index = range(len(self.solves))[solve]
-        arpack = self.of("eigsh", index)
-        if arpack:
-            return [c.v0 for c in arpack]
-        first = {}
-        for call in self.of("dpbtrs", index):
-            first.setdefault(call.dim, call.v0)
-        return [first.get(dim) for _, dim in self.route(index)]
+        return [next((c.v0 for c in calls if c.kind in ("eigsh", "dpbtrs")), None)
+                for calls in self._sectors(solve)]
 
     def clear(self) -> None:
         self.log.clear()
@@ -106,7 +107,8 @@ class SolverCalls:
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Record every call where fullmodel reaches scipy's eigensolvers and
-    banded Cholesky, and every cutoff it solves (SolverCalls)."""
+    banded Cholesky, and every cutoff it solves (SolverCalls), each call
+    tagged with the cutoff and the parity block it solves."""
     calls = SolverCalls()
     blas = fullmodel._blas_threads()
     threads = blas[0] if blas else lambda: None
@@ -114,11 +116,12 @@ def solver_calls(monkeypatch):
     def record(kind, matrix, **fields):
         dim = matrix.shape[-1]
         rows = matrix.shape[0] if matrix.ndim == 2 else 1
-        calls.log.append(Call(kind, dim, rows, calls.open, threads(), **fields))
+        calls.log.append(Call(kind, dim, rows, calls.open, calls.sector, threads(),
+                              **fields))
 
     eigh, eigsh = scipy.linalg.eigh, scipy.sparse.linalg.eigsh
     dpbtrf, dpbtrs = scipy.linalg.lapack.dpbtrf, scipy.linalg.lapack.dpbtrs
-    solve_cutoff = fullmodel._solve_cutoff
+    solve_cutoff, layout = fullmodel._solve_cutoff, fullmodel._layout
 
     def eigh_seam(a, *args, **kwargs):
         record("eigh", a)
@@ -138,13 +141,19 @@ def solver_calls(monkeypatch):
         record("dpbtrs", ab, v0=np.copy(b), info=info)
         return x, info
 
+    def layout_seam(*args, **kwargs):
+        # a solve lays out each parity block before solving it, sector 0 first
+        if calls.open is not None:
+            calls.sector = 0 if calls.sector is None else calls.sector + 1
+        return layout(*args, **kwargs)
+
     def solve_seam(params, n_cut, *args, **kwargs):
         calls.open = len(calls.solves)
         calls.solves.append((n_cut, None))
         try:
             solved = solve_cutoff(params, n_cut, *args, **kwargs)
         finally:
-            calls.open = None
+            calls.open = calls.sector = None
         calls.solves[-1] = (n_cut, solved)
         return solved
 
@@ -153,6 +162,7 @@ def solver_calls(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", dpbtrf_seam)
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", dpbtrs_seam)
     monkeypatch.setattr(fullmodel, "_solve_cutoff", solve_seam)
+    monkeypatch.setattr(fullmodel, "_layout", layout_seam)
     return calls
 
 
