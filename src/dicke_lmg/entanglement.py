@@ -9,7 +9,9 @@ the pair reduction uses the combinatorial split of each Dicke state into a
 2-qubit block plus an (N_a - 2)-qubit symmetric block.
 
 Density matrices are plain ndarrays. Eigenvalues in [-1e-12, 0) are clipped
-to zero before logarithms and square roots.
+to zero before logarithms and square roots. Each measure works on a stack of
+matrices, one numpy call per stack; the one-state functions are its
+one-element case and give the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ _EIG_CLIP = 1e-12
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY).real     # real matrix: diag(anti) with signs
+# expands the symmetric triplet {|00>, (|01>+|10>)/sqrt2, |11>} to 4x4
+_EMBED = np.zeros((4, 3))
+_EMBED[0, 0] = 1.0
+_EMBED[1, 1] = _EMBED[2, 1] = 1.0 / math.sqrt(2.0)
+_EMBED[3, 2] = 1.0
+_EMBED.flags.writeable = False
 
 
 def trace_out_field(state: PureState) -> np.ndarray:
@@ -36,14 +44,30 @@ def trace_out_field(state: PureState) -> np.ndarray:
     return (grid[:, :, None] * grid[:, None, :]).sum(axis=0, initial=0.0)
 
 
+def entropies(rhos: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy -sum p log2 p, in bits, of each density matrix in
+    a stack of shape (states, d, d).
+
+    One stacked eigvalsh; each state's spectrum is then filtered and summed
+    on its own, since numpy adds 8 or more terms pairwise and a sum over a
+    zero-padded 2-D array would round differently."""
+    rhos = np.asarray(rhos)
+    if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+        raise ValueError("expected a stack of square density matrices")
+    out = np.empty(len(rhos))
+    for i, p in enumerate(np.linalg.eigvalsh(rhos)):
+        if p.min() < -_EIG_CLIP:
+            raise ValueError(f"density matrix has eigenvalue {p.min()} < -1e-12")
+        p = np.clip(p, 0.0, None)
+        p = p[p > 0]
+        out[i] = -(p * np.log2(p)).sum()
+    return out
+
+
 def entropy_of_entanglement(rho: np.ndarray) -> float:
-    """Von Neumann entropy -sum p log2 p of a density matrix, in bits."""
-    p = np.linalg.eigvalsh(rho)
-    if p.min() < -_EIG_CLIP:
-        raise ValueError(f"density matrix has eigenvalue {p.min()} < -1e-12")
-    p = np.clip(p, 0.0, None)
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    """Von Neumann entropy of one density matrix: the one-state case of
+    :func:`entropies`."""
+    return float(entropies(np.asarray(rho)[None])[0])
 
 
 @functools.cache
@@ -73,61 +97,81 @@ def _pair_terms(n_atoms: int) -> tuple[np.ndarray, ...]:
     return tuple(terms)
 
 
-def reduce_to_two_qubits(rho_a: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Reduced two-qubit state of a symmetric-ensemble density matrix.
+def reduce_pairs(rho_as: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Reduced two-qubit states of a stack of symmetric-ensemble density
+    matrices, shape (states, N_a + 1, N_a + 1) -> (states, 4, 4).
 
-    Input is on the Dicke basis (m ascending, so row p holds p = N_a/2 + m
-    excitations); output is 4x4 in the basis {|00>, |01>, |10>, |11>} and is
+    Inputs are on the Dicke basis (m ascending, so row p holds p = N_a/2 + m
+    excitations); outputs are in the basis {|00>, |01>, |10>, |11>} and are
     symmetric under swapping the pair.
     """
     if n_atoms < 2:
         raise ValueError("pair reduction requires n_atoms >= 2")
-    rho_a = np.asarray(rho_a)
-    if rho_a.shape != (n_atoms + 1, n_atoms + 1):
+    rho_as = np.asarray(rho_as)
+    if rho_as.ndim != 3 or rho_as.shape[1:] != (n_atoms + 1, n_atoms + 1):
         raise ValueError("rho_a must be (N_a+1) x (N_a+1) on the Dicke basis")
     c = _pair_amplitudes(n_atoms)
     q, qq, p, pp = _pair_terms(n_atoms)
     # rho3[q, q'] = sum_{p, p'} rho[p, p'] c[p, q] c[p', q'] delta_{p-q, p'-q'};
-    # ufunc.at adds the terms one by one in table order, so the sum is
-    # reproducible bit for bit
-    rho3 = np.zeros((3, 3), dtype=rho_a.dtype)
-    np.add.at(rho3, (q, qq), rho_a[p, pp] * c[p, q] * c[pp, qq])
-    # expand the symmetric triplet {|00>, (|01>+|10>)/sqrt2, |11>} to 4x4
-    embed = np.zeros((4, 3))
-    embed[0, 0] = 1.0
-    embed[1, 1] = embed[2, 1] = 1.0 / math.sqrt(2.0)
-    embed[3, 2] = 1.0
-    return embed @ rho3 @ embed.T.conj()
+    # ufunc.at adds the terms one by one, state by state in table order, so
+    # each sum is reproducible bit for bit
+    count = len(rho_as)
+    at = (np.arange(count)[:, None] * 9 + q * 3 + qq).ravel()
+    rho3 = np.zeros(count * 9, dtype=rho_as.dtype)
+    np.add.at(rho3, at, (rho_as[:, p, pp] * c[p, q] * c[pp, qq]).ravel())
+    return _EMBED @ rho3.reshape(count, 3, 3) @ _EMBED.T
 
 
-def wootters_concurrence(rho2: np.ndarray) -> float:
+def reduce_to_two_qubits(rho_a: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Reduced two-qubit state of one symmetric-ensemble density matrix: the
+    one-state case of :func:`reduce_pairs`."""
+    return reduce_pairs(np.asarray(rho_a)[None], n_atoms)[0]
+
+
+def concurrences(rho2s: np.ndarray) -> np.ndarray:
     """Two-qubit concurrence C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))
-    from the spin-flipped matrix rho (sy x sy) rho* (sy x sy).
+    of each matrix in a stack of shape (states, 4, 4), from the spin-flipped
+    matrix rho (sy x sy) rho* (sy x sy).
 
     C adds square roots of eigenvalues that vanish in exact arithmetic, so
     its floor is sqrt(eps), not eps: a 1e-17 rounding in rho moves C by
     about 3e-9, and no comparison of two C values can be tighter than about
     1e-8."""
-    rho2 = np.asarray(rho2)
-    if rho2.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-qubit density matrix")
-    flipped = _YY @ rho2.conj() @ _YY
+    rho2s = np.asarray(rho2s)
+    if rho2s.ndim != 3 or rho2s.shape[1:] != (4, 4):
+        raise ValueError("expected a stack of 4x4 two-qubit density matrices")
+    flipped = _YY @ rho2s.conj() @ _YY
     # Hermitian route: eigenvalues of sqrt(rho) rho~ sqrt(rho) match those of
     # rho rho~ but come from eigvalsh, which keeps degenerate spectra accurate
-    p, v = np.linalg.eigh(rho2)
-    root = (v * np.sqrt(np.clip(p, 0.0, None))) @ v.T.conj()
-    lam = np.linalg.eigvalsh(root @ flipped @ root)[::-1]
+    p, v = np.linalg.eigh(rho2s)
+    root = (v * np.sqrt(np.clip(p, 0.0, None))[:, None, :]) @ v.transpose(0, 2, 1).conj()
+    lam = np.linalg.eigvalsh(root @ flipped @ root)[:, ::-1]
     lam = np.sqrt(np.clip(lam, 0.0, None))
-    return max(0.0, float(lam[0] - lam[1:].sum()))
+    # each state's three-term sum on its own, in numpy's order for one state
+    return np.array([max(0.0, float(l[0] - l[1:].sum())) for l in lam])
+
+
+def wootters_concurrence(rho2: np.ndarray) -> float:
+    """Concurrence of one two-qubit density matrix: the one-state case of
+    :func:`concurrences`."""
+    return float(concurrences(np.asarray(rho2)[None])[0])
+
+
+def ground_measures(states: list[PureState]) -> tuple[np.ndarray, np.ndarray]:
+    """(C_w, S) of each of a list of ground states of one ensemble: the
+    field is traced out once per state, and the pair reduction, the
+    Wootters step and the entropies each run once over the stack."""
+    rhos = np.stack([trace_out_field(state) for state in states])
+    return concurrences(reduce_pairs(rhos, states[0].n_atoms)), entropies(rhos)
 
 
 def cw_of_ground(state: PureState) -> float:
     """Maximum shared bipartite concurrence of a ground state: trace out the
     field, reduce to one qubit pair, take the Wootters concurrence."""
-    return wootters_concurrence(reduce_to_two_qubits(trace_out_field(state),
-                                                     state.n_atoms))
+    return float(concurrences(reduce_pairs(trace_out_field(state)[None],
+                                           state.n_atoms))[0])
 
 
 def entropy_of_ground(state: PureState) -> float:
     """Field-ensemble entropy of entanglement of a pure ground state, in bits."""
-    return entropy_of_entanglement(trace_out_field(state))
+    return float(entropies(trace_out_field(state)[None])[0])

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import InputError, UnboundedSearchError
 from .model import _TIE_TOL, ModelParams, PureState, check_count, fix_sign
@@ -105,6 +106,34 @@ def build_subspace(params: ModelParams, n: int) -> TridiagMatrix:
                          energy_offset=_energy_offset(params, n))
 
 
+def _lowest_pair(mat: TridiagMatrix, vector: bool):
+    """Lowest eigenvalue of a Jacobi matrix of size >= 2 (offset not
+    included), and its raw eigenvector if ``vector``.
+
+    Calls LAPACK dstebz (and dstein for the vector) with the arguments
+    scipy's ``eigh_tridiagonal(d, e, select="i", select_range=(0, 0))``
+    passes, so the bits are scipy's, and keeps its finiteness and ``info``
+    checks: a non-finite entry raises ValueError, a failed solve
+    LinAlgError."""
+    d, e = np.asarray_chkfinite(mat.diag), np.asarray_chkfinite(mat.offdiag)
+    # select by index, il = iu = 1 (Fortran), abstol 0; order 'B' is block
+    # order, which dstein needs, and 'E' matrix order
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B" if vector else "E")
+    _check_info(info, "stebz")
+    if not vector:
+        return w[0]
+    v, info = dstein(d, e, w[:m], iblock, isplit)
+    _check_info(info, "stein")
+    return w[0], v[:, 0]
+
+
+def _check_info(info: int, driver: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise LinAlgError(f"{driver} did not converge (LAPACK info={info})")
+
+
 def tridiag_ground(mat: TridiagMatrix) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a subspace matrix, offset included.
 
@@ -112,10 +141,8 @@ def tridiag_ground(mat: TridiagMatrix) -> tuple[float, np.ndarray]:
     """
     if mat.size == 1:
         return mat.energy_offset + float(mat.diag[0]), np.array([1.0])
-    vals, vecs = eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
-                                  select_range=(0, 0))
-    vec = fix_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-    return mat.energy_offset + float(vals[0]), vec
+    val, vec = _lowest_pair(mat, vector=True)
+    return mat.energy_offset + float(val), fix_sign(vec / np.linalg.norm(vec))
 
 
 def _subspace_state(n_atoms: int, n: int, vec: np.ndarray) -> PureState:
@@ -266,17 +293,20 @@ def _scan(params: ModelParams, lams) -> np.ndarray:
     return energies <= (best + tail.guard(best))[:, None]
 
 
-def _decide(params: ModelParams,
-            candidates: np.ndarray) -> tuple[int, float, np.ndarray, bool]:
-    """Re-solve the candidate subspaces exactly and apply the sequential
-    rule: ascending n, a block wins only if it lies more than the tie window
-    below the best so far, and a block inside the window flags a transition.
-    Returns (n, energy, eigenvector, at_transition)."""
+def _decide(params: ModelParams, ns: list[int], diag: np.ndarray,
+            offdiag: np.ndarray) -> tuple[int, float, np.ndarray, bool]:
+    """Re-solve the candidate subspaces ``ns`` of one coupling exactly, from
+    their padded Jacobi bands (rows of ``diag`` and ``offdiag``), and apply
+    the sequential rule: ascending n, a block wins only if it lies more than
+    the tie window below the best so far, and a block inside the window
+    flags a transition. Returns (n, energy, eigenvector, at_transition)."""
     best_energy = math.inf
     best: tuple[int, np.ndarray] | None = None
     at_transition = False
-    for n in candidates.tolist():
-        energy, vec = tridiag_ground(build_subspace(params, n))
+    for n, d, e in zip(ns, diag, offdiag):
+        size = min(n, params.n_atoms) + 1
+        energy, vec = tridiag_ground(TridiagMatrix(
+            diag=d[:size], offdiag=e[:size - 1], energy_offset=_energy_offset(params, n)))
         tol = _TIE_TOL * max(1.0, abs(best_energy)) if best else 0.0
         if energy < best_energy - tol:
             best_energy, best, at_transition = energy, (n, vec), False
@@ -286,19 +316,26 @@ def _decide(params: ModelParams,
     return n, best_energy, vec, at_transition
 
 
+def _decide_all(params: ModelParams, lams: np.ndarray, held: np.ndarray):
+    """:func:`_decide` at each coupling in ``lams`` over its row of candidate
+    subspaces ``held``, a boolean (couplings, subspaces) matrix. The bands of
+    every candidate come from one :func:`_jacobi_bands` call, bit for bit
+    those :func:`build_subspace` gives for one coupling and subspace."""
+    ns = np.flatnonzero(held.any(axis=0))
+    diag, offdiag = _jacobi_bands(params, ns, lams)
+    for row, bands in zip(held[:, ns], offdiag):
+        cols = np.flatnonzero(row)
+        yield _decide(params, ns[cols].tolist(), diag[cols], bands[cols])
+
+
 def ground_states(params: ModelParams, lams) -> list[GroundStateResult]:
     """Global RWA ground state at each coupling in ``lams`` (``params.lam`` is
     not read). One batched scan (:func:`_scan`) finds the subspaces that can
     win; only those are re-solved with :func:`tridiag_ground`. Ties go to the
     smaller n and are flagged as sitting at a transition."""
-    results = []
-    for lam, held in zip(lams, _scan(params, lams)):
-        n, energy, vec, at_transition = _decide(params.replace(lam=float(lam)),
-                                                np.flatnonzero(held))
-        results.append(GroundStateResult(
-            energy=energy, state=_subspace_state(params.n_atoms, n, vec),
-            subspace_index=n, at_transition=at_transition))
-    return results
+    return [GroundStateResult(energy=energy, state=_subspace_state(params.n_atoms, n, vec),
+                              subspace_index=n, at_transition=at_transition)
+            for n, energy, vec, at_transition in _decide_all(params, lams, _scan(params, lams))]
 
 
 def ground_state(params: ModelParams) -> GroundStateResult:
@@ -313,8 +350,7 @@ def subspace_energy(params: ModelParams, n: int) -> float:
     mat = build_subspace(params, n)
     if mat.size == 1:
         return mat.energy_offset + float(mat.diag[0])
-    vals = eigvalsh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=(0, 0))
-    return mat.energy_offset + float(vals[0])
+    return mat.energy_offset + float(_lowest_pair(mat, vector=False))
 
 
 def critical_coupling_1(params: ModelParams) -> float:
@@ -373,8 +409,8 @@ def transition_ladder(params: ModelParams, lam_range: tuple[float, float],
     grid = np.linspace(*lam_range, scan_points)
     held = _scan(params, grid)
     indices = held.argmax(axis=1)
-    for i in np.flatnonzero(held.sum(axis=1) > 1):
-        indices[i] = _decide(params.replace(lam=float(grid[i])), np.flatnonzero(held[i]))[0]
+    tied = held.sum(axis=1) > 1
+    indices[tied] = [n for n, *_ in _decide_all(params, grid[tied], held[tied])]
 
     crossings = []
     for i in np.flatnonzero(indices[:-1] != indices[1:]).tolist():

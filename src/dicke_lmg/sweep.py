@@ -4,17 +4,18 @@ Evaluates the ground state of either solver at every grid point, records the
 energy, phase label and entanglement measures, and extracts phase boundaries
 for comparison with the analytic critical-coupling curves. Points are
 evaluated serially, in the output order: eta-major, lam-ascending; an RWA
-sweep solves each eta row in one batched scan.
+sweep solves each eta row in one batched scan, and the solved points of a row
+are measured in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fullmodel, rwa
-from .entanglement import cw_of_ground, entropy_of_ground
+from .entanglement import cw_of_ground, entropy_of_ground, ground_measures
 from .errors import InputError
 from .model import ModelParams, PureState, check_count
 
@@ -109,11 +110,18 @@ class BoundarySegment:
     after: float
 
 
-def _eval_point(spec: SweepSpec, lam: float, eta: float,
-                ground: rwa.GroundStateResult | None = None) -> GridRecord:
-    """One grid point, from its RWA ground state ``ground`` when a row scan
-    gave one and from its own solve otherwise. A failure in the solve or in
-    the entanglement measures flags this point alone."""
+def _failed(lam: float, eta: float, exc: Exception) -> GridRecord:
+    flag = "noconv" if isinstance(exc, fullmodel.ConvergenceError) else \
+        f"error:{type(exc).__name__}"
+    return GridRecord(lam=lam, eta=eta, energy=float("nan"), phase_index=-1,
+                      cw=float("nan"), entropy_bits=float("nan"), flags=flag)
+
+
+def _solve_point(spec: SweepSpec, lam: float, eta: float,
+                 ground: rwa.GroundStateResult | None) -> GridRecord:
+    """One grid point without its measures, from its RWA ground state
+    ``ground`` when a row scan gave one and from its own solve otherwise. A
+    failed solve flags this point alone."""
     params = spec._params(lam, eta)
     try:
         if spec.solver == "rwa":
@@ -124,22 +132,39 @@ def _eval_point(spec: SweepSpec, lam: float, eta: float,
             result = fullmodel.ground_full(
                 params, tol=spec.tol, tail_threshold=spec.tail_threshold)
             phase_index, flags = result.n_cut_used, ""
-        state = result.state
-        return GridRecord(lam=lam, eta=eta, energy=result.energy,
-                          phase_index=phase_index, cw=cw_of_ground(state),
-                          entropy_bits=entropy_of_ground(state), flags=flags,
-                          state=state)
     except Exception as exc:          # per-point containment, sweep continues
-        flag = "noconv" if isinstance(exc, fullmodel.ConvergenceError) else \
-            f"error:{type(exc).__name__}"
-        return GridRecord(lam=lam, eta=eta, energy=float("nan"), phase_index=-1,
-                          cw=float("nan"), entropy_bits=float("nan"), flags=flag)
+        return _failed(lam, eta, exc)
+    return GridRecord(lam=lam, eta=eta, energy=result.energy, phase_index=phase_index,
+                      cw=float("nan"), entropy_bits=float("nan"), flags=flags,
+                      state=result.state)
+
+
+def _measure(solved: list[GridRecord]) -> list[GridRecord]:
+    """The records ``solved`` with their measures, taken in one call; if that
+    raises, state by state, so a failure flags only its own point."""
+    if not solved:
+        return []
+    try:
+        cw, entropy = ground_measures([r.state for r in solved])
+        return [replace(r, cw=c, entropy_bits=s)
+                for r, c, s in zip(solved, cw.tolist(), entropy.tolist())]
+    except Exception:                 # contained point by point below
+        pass
+    measured = []
+    for r in solved:
+        try:
+            measured.append(replace(r, cw=cw_of_ground(r.state),
+                                    entropy_bits=entropy_of_ground(r.state)))
+        except Exception as exc:      # per-point containment, sweep continues
+            measured.append(_failed(r.lam, r.eta, exc))
+    return measured
 
 
 def run_sweep(spec: SweepSpec) -> list[GridRecord]:
     """Evaluate the whole grid serially; output is eta-major, lam-ascending.
     An RWA sweep solves each eta row in one batched scan; if that raises, the
-    row's points are solved one by one, so a failure flags only its point."""
+    row's points are solved one by one. The solved points of a row are
+    measured together (:func:`_measure`). A failure flags only its point."""
     records = []
     for eta in spec.eta_values.tolist():
         grounds = [None] * spec.lam_axis[2]
@@ -149,8 +174,10 @@ def run_sweep(spec: SweepSpec) -> list[GridRecord]:
                                             spec.lam_values)
             except Exception:         # contained point by point below
                 pass
-        records += [_eval_point(spec, lam, eta, ground)
-                    for lam, ground in zip(spec.lam_values.tolist(), grounds)]
+        row = [_solve_point(spec, lam, eta, ground)
+               for lam, ground in zip(spec.lam_values.tolist(), grounds)]
+        measured = iter(_measure([r for r in row if not r.failed]))
+        records += [r if r.failed else next(measured) for r in row]
     return records
 
 

@@ -7,8 +7,10 @@ from dicke_lmg.checks import (pair_reduction_bruteforce, random_product_state,
                               random_symmetric_state)
 from dicke_lmg import entanglement
 from dicke_lmg.entanglement import (cw_of_ground, entropy_of_entanglement,
-                                    entropy_of_ground, reduce_to_two_qubits,
-                                    trace_out_field, wootters_concurrence)
+                                    entropy_of_ground, ground_measures,
+                                    reduce_to_two_qubits, trace_out_field,
+                                    wootters_concurrence)
+from dicke_lmg.fullmodel import ground_full
 from dicke_lmg.model import ModelParams, PureState
 from dicke_lmg.rwa import first_nonvacuum_state
 
@@ -89,6 +91,9 @@ class TestEntropy:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             entropy_of_entanglement(np.diag([1.5, -0.5]))
+        # anywhere in a stack
+        with pytest.raises(ValueError, match="eigenvalue"):
+            entanglement.entropies(np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])]))
 
     def test_equal_branch_state_gives_one_bit(self):
         params = ModelParams(omega_f=1.0, delta=0.0, eta=0.0, lam=1.0, n_atoms=5)
@@ -240,3 +245,29 @@ def _cw_rebuilt_per_call(state: PureState) -> float:
     root = (v * np.sqrt(np.clip(p, 0.0, None))) @ v.T.conj()
     lam = np.sqrt(np.clip(np.linalg.eigvalsh(root @ flipped @ root)[::-1], 0.0, None))
     return max(0.0, float(lam[0] - lam[1:].sum()))
+
+
+class TestGroundMeasures:
+    @pytest.mark.parametrize("n_atoms", [7, 10, 20])
+    def test_full_model_rows_have_the_bits_of_one_state_calls(self, n_atoms):
+        # rho_a of 8 or more levels: each entropy sums 8 or more terms, which
+        # numpy adds pairwise, so the row keeps each state's own sum
+        states = [ground_full(ModelParams(omega_f=1.0, delta=0.0, eta=eta, lam=lam,
+                                          n_atoms=n_atoms)).state
+                  for eta in (-0.5, 0.7) for lam in (0.3, 0.6, 0.9, 1.2)]
+        cw, entropy = ground_measures(states)
+        assert cw.tobytes() == np.array([cw_of_ground(s) for s in states]).tobytes()
+        assert entropy.tobytes() == np.array([entropy_of_ground(s) for s in states]).tobytes()
+        # and the bits of the formulas applied to one 2-D matrix at a time
+        assert cw.tolist() == [_cw_rebuilt_per_call(s) for s in states]
+        assert entropy.tobytes() == np.array([_entropy_one_matrix(trace_out_field(s))
+                                              for s in states]).tobytes()
+        assert max(np.count_nonzero(np.linalg.eigvalsh(trace_out_field(s)) > 0)
+                   for s in states) >= 8
+
+
+def _entropy_one_matrix(rho: np.ndarray) -> float:
+    """-sum p log2 p from the eigenvalues of one 2-D matrix."""
+    p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dicke_lmg import rwa
 from dicke_lmg.checks import sturm_lowest_eigenvalue
 from dicke_lmg.errors import UnboundedSearchError
-from dicke_lmg.model import ModelParams
+from dicke_lmg.model import ModelParams, fix_sign
 from dicke_lmg.rwa import (_subspace_state, _TailBound, amplitude_h,
                            build_subspace, critical_coupling_1,
                            first_nonvacuum_state, ground_state, subspace_energy,
@@ -92,6 +94,35 @@ class TestTridiagGround:
     def test_sign_convention_first_component_positive(self):
         _, vec = tridiag_ground(build_subspace(_params(lam=1.0), 3))
         assert vec[np.flatnonzero(np.abs(vec) > 1e-14)[0]] > 0
+
+    def test_has_the_bits_of_scipy_eigh_tridiagonal(self):
+        # the LAPACK calls are made directly; scipy's wrapper stays the reference
+        rng = np.random.default_rng(27)
+        blocks = 0
+        for n_atoms in range(2, 13):
+            for _ in range(150):
+                params = _random_params(rng).replace(n_atoms=n_atoms)
+                mat = build_subspace(params, int(rng.integers(1, 3 * n_atoms + 2)))
+                vals, vecs = scipy.linalg.eigh_tridiagonal(
+                    mat.diag, mat.offdiag, select="i", select_range=(0, 0))
+                energy, vec = tridiag_ground(mat)
+                assert energy == mat.energy_offset + float(vals[0])
+                assert np.array_equal(vec, fix_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0])))
+                blocks += 1
+        assert blocks == 1650
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["diag", "offdiag"])
+    def test_a_non_finite_entry_is_refused(self, monkeypatch, bad, where):
+        mat = build_subspace(_params(lam=0.5), 3)
+        entries = getattr(mat, where).copy()
+        entries[-1] = bad
+        mat = dataclasses.replace(mat, **{where: entries})
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tridiag_ground(mat)
+        monkeypatch.setattr(rwa, "build_subspace", lambda params, n: mat)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            subspace_energy(_params(lam=0.5), 3)
 
 
 class TestGroundState:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dicke_lmg import fullmodel, rwa
+from dicke_lmg import entanglement, fullmodel, rwa
 from dicke_lmg import sweep as sweep_mod
 from dicke_lmg.cli import read_csv, write_csv
 from dicke_lmg.entanglement import cw_of_ground, entropy_of_ground
@@ -154,6 +154,11 @@ class TestBatchedRows:
         # the first point of the first row is the closed-form crossing lam_c1
         dict(delta=0.05, n_atoms=4, lam_axis=(critical_coupling_1(_CROSSING_ROW), 2.0, 7),
              eta_axis=(1.0, 2.0, 3)),
+        # 10 and 13 Dicke levels: an entropy of 8 or more terms is summed
+        # pairwise by numpy, so a reduction over the whole row would round
+        # differently from one state's sum
+        dict(delta=0.02, n_atoms=9, lam_axis=(0.01, 2.0, 12), eta_axis=(0.0, 4.0, 4)),
+        dict(delta=-0.05, n_atoms=12, lam_axis=(0.01, 2.0, 12), eta_axis=(0.0, 4.0, 4)),
     ])
     def test_rows_have_the_bits_of_pointwise_solves(self, kwargs):
         spec = _spec(**kwargs)
@@ -166,6 +171,9 @@ class TestBatchedRows:
             assert len(widths) >= 3
         if spec.lam_axis[0] == critical_coupling_1(_CROSSING_ROW):
             assert records[0].flags == "at_transition"
+        if kwargs["n_atoms"] >= 9:
+            # an RWA state holds one Dicke population per nonzero amplitude
+            assert sum(np.count_nonzero(r.state.amplitudes) >= 8 for r in records) >= 10
 
     def _failing_at(self, monkeypatch, target, bad_lam, bad_eta):
         """Make ``target`` raise whenever it is called for the point
@@ -204,20 +212,31 @@ class TestBatchedRows:
         assert first_lambda_boundaries(records, spec) == {}
 
     def test_a_failing_concurrence_flags_only_its_own_point(self, monkeypatch):
-        spec = _spec(delta=0.05, n_atoms=4, lam_axis=(0.01, 2.0, 6), eta_axis=(0.0, 2.0, 3))
-        clean = run_sweep(spec)
-        bad, calls = 8, []
+        # a row is measured in one call; when the field trace of one state
+        # raises there, only that state's point is flagged, in an RWA row
+        # and in a full-model row
+        trace = entanglement.trace_out_field
+        for spec, bad in ((_spec(delta=0.05, n_atoms=4, lam_axis=(0.01, 2.0, 6),
+                                 eta_axis=(0.0, 2.0, 3)), 8),
+                          (_spec(solver="full", n_atoms=3, lam_axis=(0.2, 1.2, 4),
+                                 eta_axis=(0.0, 0.5, 2)), 6)):
+            clean = run_sweep(spec)
+            bad_state = clean[bad].state
+            same = [r for r in clean if r.state.amplitudes.shape == bad_state.amplitudes.shape
+                    and np.array_equal(r.state.amplitudes, bad_state.amplitudes)]
+            assert len(same) == 1       # the failing state is this point's alone
 
-        def cw_failing_once(state):
-            calls.append(state)
-            if len(calls) == bad + 1:
-                raise ZeroDivisionError("forced failure")
-            return cw_of_ground(state)
+            def failing_trace(state):
+                if np.array_equal(state.amplitudes, bad_state.amplitudes):
+                    raise ZeroDivisionError("forced failure")
+                return trace(state)
 
-        monkeypatch.setattr(sweep_mod, "cw_of_ground", cw_failing_once)
-        records = run_sweep(spec)
-        assert records[bad].flags == "error:ZeroDivisionError"
-        assert records[:bad] + records[bad + 1:] == clean[:bad] + clean[bad + 1:]
+            with monkeypatch.context() as patch:
+                patch.setattr(entanglement, "trace_out_field", failing_trace)
+                records = run_sweep(spec)
+            assert records[bad].flags == "error:ZeroDivisionError"
+            assert records[bad].phase_index == -1 and np.isnan(records[bad].cw)
+            assert records[:bad] + records[bad + 1:] == clean[:bad] + clean[bad + 1:]
 
 
 class TestBoundaries:
