@@ -110,10 +110,10 @@ def _lowest_pair(mat: TridiagMatrix, vector: bool):
     """Lowest eigenvalue of a Jacobi matrix of size >= 2 (offset not
     included), and its raw eigenvector if ``vector``.
 
-    Calls LAPACK dstebz (and dstein for the vector) with the arguments
-    scipy's ``eigh_tridiagonal(d, e, select="i", select_range=(0, 0))``
-    passes, so the bits are scipy's, and keeps its finiteness and ``info``
-    checks: a non-finite entry raises ValueError, a failed solve
+    Calls LAPACK dstebz (and dstein for the vector) with the arguments that
+    scipy.linalg's tridiagonal eigh passes for the lowest index (select "i",
+    range (0, 0)), so the bits are scipy's, and keeps its finiteness and
+    ``info`` checks: a non-finite entry raises ValueError, a failed solve
     LinAlgError."""
     d, e = np.asarray_chkfinite(mat.diag), np.asarray_chkfinite(mat.offdiag)
     # select by index, il = iu = 1 (Fortran), abstol 0; order 'B' is block
